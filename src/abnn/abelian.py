@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .invertible import CouplingFlow, MonotonicNet, Staged
+from .invertible import Staged
 from .numcore import Tape
 
 __all__ = [
@@ -36,6 +36,26 @@ SUM = "sum"
 PRODUCT = "product"
 
 
+def map_forward(phi, v: np.ndarray) -> np.ndarray:
+    """phi on an array of (..., d) vectors; a d=1 net maps the scalars."""
+    if phi.d == 1:
+        return np.asarray(phi.forward(v[..., 0]))[..., None]
+    return phi.forward(v)
+
+
+def map_inverse(phi, z: np.ndarray) -> np.ndarray:
+    """phi^{-1} on an array of (..., d) vectors."""
+    if phi.d == 1:
+        return phi.inverse_batch(z[..., 0])[..., None]
+    return phi.inverse(z)
+
+
+def require_finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite element: NaN or infinity in the input")
+    return x
+
+
 class NotAGroupError(ValueError):
     """Identity/inverse requested from a semigroup-only operation."""
 
@@ -52,12 +72,11 @@ class AbelianOp:
     commutative semigroup, so identity/inverse raise for it.
     """
 
-    def __init__(self, phi, combiner: str, inv_tol: float = 1e-10):
+    def __init__(self, phi, combiner: str):
         if combiner not in (SUM, PRODUCT):
             raise ValueError(f"unknown combiner {combiner!r}")
         self.phi = phi
         self.combiner = combiner
-        self.inv_tol = inv_tol
         self.d = phi.d
 
     @property
@@ -69,21 +88,7 @@ class AbelianOp:
         tag = "agn" if self.combiner == SUM else "asn"
         return f"{tag}-{self.phi.kind}"
 
-    # -- phi adapters: vectors always travel as (..., d) arrays --------------
-
-    def _fwd(self, v: np.ndarray) -> np.ndarray:
-        if self.d == 1:
-            flat = np.asarray(v[..., 0], dtype=np.float64)
-            return self.phi.forward(flat.ravel()).reshape(flat.shape)[..., None]
-        return self.phi.forward(v)
-
-    def _inv(self, z: np.ndarray) -> np.ndarray:
-        if self.d == 1:
-            flat = np.asarray(z[..., 0], dtype=np.float64)
-            tol = max(self.inv_tol, 1e-13 * float(np.max(np.abs(flat))))
-            out = self.phi.inverse_batch(flat.ravel(), tol).reshape(flat.shape)
-            return out[..., None]
-        return self.phi.inverse(z)
+    # -- input normalization: vectors always travel as (..., d) arrays -------
 
     def _as_vectors(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -91,7 +96,7 @@ class AbelianOp:
             x = x[None]
         if x.shape[-1] != self.d:
             raise ValueError(f"dimension mismatch: expected {self.d}, got {x.shape[-1]}")
-        return x
+        return require_finite(x)
 
     def _as_multiset(self, X) -> np.ndarray:
         """Normalize to (m, d); a flat array is a 1-D multiset when d=1,
@@ -101,7 +106,7 @@ class AbelianOp:
             X = X[:, None] if self.d == 1 else X[None, :]
         if X.ndim != 2 or X.shape[-1] != self.d:
             raise ValueError(f"dimension mismatch: expected (m, {self.d}), got {X.shape}")
-        return X
+        return require_finite(X)
 
     def _combine_vals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b if self.combiner == SUM else a * b
@@ -114,18 +119,19 @@ class AbelianOp:
         y = self._as_vectors(y)
         if x.shape != y.shape:
             raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-        return self._inv(self._combine_vals(self._fwd(x), self._fwd(y)))
+        phi = self.phi
+        return map_inverse(phi, self._combine_vals(map_forward(phi, x), map_forward(phi, y)))
 
     def identity_element(self) -> np.ndarray:
         if self.combiner != SUM:
             raise NotAGroupError("not a group: product combiner has no identity")
-        return self._inv(np.zeros((1, self.d)))[0]
+        return map_inverse(self.phi, np.zeros((1, self.d)))[0]
 
     def inverse_element(self, x) -> np.ndarray:
         if self.combiner != SUM:
             raise NotAGroupError("not a group: product combiner has no inverses")
         x = self._as_vectors(x)
-        return self._inv(-self._fwd(x))
+        return map_inverse(self.phi, -map_forward(self.phi, x))
 
     def fold(self, X) -> np.ndarray:
         """Combiner applied across phi of every element, then phi^{-1}.
@@ -136,11 +142,11 @@ class AbelianOp:
         X = self._as_multiset(X)
         if X.shape[0] == 0:
             raise EmptyMultisetError("empty multiset")
-        f = self._fwd(X)
+        f = map_forward(self.phi, X)
         acc = f[0]
         for i in range(1, len(f)):
             acc = self._combine_vals(acc, f[i])
-        return self._inv(acc[None])[0]
+        return map_inverse(self.phi, acc[None])[0]
 
     def fold_many(self, multisets) -> np.ndarray:
         """Vectorized fold over a list of multisets; groups equal sizes."""
@@ -153,11 +159,11 @@ class AbelianOp:
             if m == 0:
                 raise EmptyMultisetError("empty multiset")
             block = np.stack([self._as_multiset(multisets[i]) for i in idx])
-            f = self._fwd(block)  # (g, m, d)
+            f = map_forward(self.phi, block)  # (g, m, d)
             acc = f[:, 0]
             for e in range(1, m):
                 acc = self._combine_vals(acc, f[:, e])
-            out[idx] = self._inv(acc)
+            out[idx] = map_inverse(self.phi, acc)
         return out
 
     # -- tape (training) paths -------------------------------------------------
@@ -190,9 +196,7 @@ class AbelianOp:
                 acc = node if acc is None else combine(acc, node)
                 pos += 1
             z_ids.append(acc)
-        z_vals = np.array(tape.vals(z_ids))
-        tol = max(self.inv_tol, 1e-13 * float(np.max(np.abs(z_vals))))
-        xs = phi.inverse_batch(z_vals, tol)
+        xs = phi.inverse_batch(np.array(tape.vals(z_ids)))
         ks, js = phi.active_units(xs)
         outs = []
         for z_id, k, j in zip(z_ids, ks, js):
@@ -221,18 +225,6 @@ class LipschitzEstimate(NamedTuple):
     lower_bound: bool = True
 
 
-def _map_forward(map_like, pts: np.ndarray) -> np.ndarray:
-    if isinstance(map_like, MonotonicNet):
-        return map_like.forward(pts[..., 0])[..., None]
-    return map_like.forward(pts)
-
-
-def _map_inverse(map_like, pts: np.ndarray) -> np.ndarray:
-    if isinstance(map_like, MonotonicNet):
-        return map_like.inverse_batch(pts[..., 0], 1e-12)[..., None]
-    return map_like.inverse(pts)
-
-
 def _sample_box(lo, hi, n, d, rng):
     lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (d,))
     hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (d,))
@@ -250,8 +242,8 @@ def estimate_lipschitz(map_like, lo, hi, samples: int, rng) -> LipschitzEstimate
     d = map_like.d
     u = _sample_box(lo, hi, samples, d, rng)
     v = _sample_box(lo, hi, samples, d, rng)
-    fu = _map_forward(map_like, u)
-    fv = _map_forward(map_like, v)
+    fu = map_forward(map_like, u)
+    fv = map_forward(map_like, v)
     num = np.linalg.norm(fu - fv, axis=-1)
     den = np.linalg.norm(u - v, axis=-1)
     ok = (den > 0) & (num > 0)
@@ -267,8 +259,8 @@ def estimate_inverse_lipschitz(map_like, z_lo, z_hi, samples: int, rng) -> float
     d = map_like.d
     u = _sample_box(z_lo, z_hi, samples, d, rng)
     v = _sample_box(z_lo, z_hi, samples, d, rng)
-    gu = _map_inverse(map_like, u)
-    gv = _map_inverse(map_like, v)
+    gu = map_inverse(map_like, u)
+    gv = map_inverse(map_like, v)
     num = np.linalg.norm(gu - gv, axis=-1)
     den = np.linalg.norm(u - v, axis=-1)
     ok = den > 0

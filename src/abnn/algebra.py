@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .abelian import map_forward, map_inverse
+
 __all__ = [
     "SymPoly2",
     "AssociativityResult",
@@ -237,18 +239,10 @@ class CanonicalSemigroupOp:
         return f"canonical-{self.kind}"
 
     def _rho_fwd(self, v):
-        if self.rho is None:
-            return v
-        from .abelian import _map_forward
-
-        return _map_forward(self.rho, v)
+        return v if self.rho is None else map_forward(self.rho, v)
 
     def _rho_inv(self, v):
-        if self.rho is None:
-            return v
-        from .abelian import _map_inverse
-
-        return _map_inverse(self.rho, v)
+        return v if self.rho is None else map_inverse(self.rho, v)
 
     def combine(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import AbelianOp
-from .checkpoint import register_model_kind
 from .harness import TrainConfig
 from .invertible import CouplingFlow, Mlp
 from .numcore import DivergedError, ParamStore, Tape, adam_step, cosine_on_tape
@@ -229,14 +228,6 @@ class MlpModel:
 
     def forward_on_tape(self, staged, x_ids):
         return self.net.forward_on_tape(staged, x_ids)
-
-
-register_model_kind(
-    "mlp",
-    lambda m: {"d": m.d, "n_layers": m.n_layers, "hidden_dim": m.hidden_dim},
-    lambda h: MlpModel(h["d"], h["n_layers"], h["hidden_dim"],
-                       np.random.default_rng(0)),
-)
 
 
 def _check_dims(*vecs):

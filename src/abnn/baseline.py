@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .abelian import EmptyMultisetError
+from .abelian import EmptyMultisetError, require_finite
 from .invertible import Mlp, Staged
 from .numcore import ParamStore, Tape
 
@@ -50,6 +50,7 @@ class DeepSetsModel:
             raise EmptyMultisetError("empty multiset")
         if X.shape[1] != self.d:
             raise ValueError(f"dimension mismatch: expected {self.d}, got {X.shape[1]}")
+        require_finite(X)
         return X[np.lexsort(X.T[::-1])]
 
     def forward(self, X) -> np.ndarray:

@@ -11,7 +11,8 @@ Layout (all integers little endian)::
 
 Parameters round-trip bit for bit; any flipped byte fails the checksum
 rather than loading silently. Model families register a header writer and
-a builder under their ``kind`` string.
+a builder under their ``kind`` string; builders ignore header keys they do
+not read, so older version-1 files with retired keys still load.
 """
 
 from __future__ import annotations
@@ -80,13 +81,11 @@ def _mono_op_header(op: AbelianOp) -> dict:
         "k_groups": op.phi.k_groups,
         "j_units": op.phi.j_units,
         "combiner": op.combiner,
-        "inv_tol": op.inv_tol,
     }
 
 
 def _mono_op_build(h: dict) -> AbelianOp:
-    return AbelianOp(MonotonicNet(h["k_groups"], h["j_units"]),
-                     h["combiner"], inv_tol=h["inv_tol"])
+    return AbelianOp(MonotonicNet(h["k_groups"], h["j_units"]), h["combiner"])
 
 
 def _flow_op_header(op: AbelianOp) -> dict:
@@ -97,7 +96,6 @@ def _flow_op_header(op: AbelianOp) -> dict:
         "clamp": op.phi.clamp,
         "perms": [p.tolist() for p in op.phi.perms],
         "combiner": op.combiner,
-        "inv_tol": op.inv_tol,
     }
 
 
@@ -105,7 +103,7 @@ def _flow_op_build(h: dict) -> AbelianOp:
     flow = CouplingFlow(h["d"], h["n_layers"], h["hidden_dim"],
                         np.random.default_rng(0), clamp=h["clamp"],
                         permutations=h["perms"])
-    return AbelianOp(flow, h["combiner"], inv_tol=h["inv_tol"])
+    return AbelianOp(flow, h["combiner"])
 
 
 def _deepsets_header(m: DeepSetsModel) -> dict:
@@ -118,10 +116,21 @@ def _deepsets_build(h: dict) -> DeepSetsModel:
                          h["middle_dim"], np.random.default_rng(0))
 
 
+def _mlp_header(m) -> dict:
+    return {"d": m.d, "n_layers": m.n_layers, "hidden_dim": m.hidden_dim}
+
+
+def _mlp_build(h: dict):
+    from .analogy import MlpModel  # lazy: loading must not pull in the analogy pipeline
+
+    return MlpModel(h["d"], h["n_layers"], h["hidden_dim"], np.random.default_rng(0))
+
+
 for _tag in ("agn", "asn"):
     register_model_kind(f"{_tag}-mono", _mono_op_header, _mono_op_build)
     register_model_kind(f"{_tag}-flow", _flow_op_header, _flow_op_build)
 register_model_kind("deepsets", _deepsets_header, _deepsets_build)
+register_model_kind("mlp", _mlp_header, _mlp_build)
 
 
 def save_checkpoint(model, path) -> None:

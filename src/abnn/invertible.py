@@ -4,9 +4,9 @@ Two families:
 
 * :class:`MonotonicNet` for d=1 — a min-over-groups of max-over-units lattice
   of affine functions whose slopes all share the sign of a learned
-  coefficient, hence strictly monotonic and piecewise linear. Inverted
-  numerically (bracket + bisection) with an exact refinement on the active
-  affine piece.
+  coefficient, hence strictly monotonic and piecewise linear. Inverted in
+  closed form: the inverse is the max-min (min-max when decreasing) lattice
+  of the inverted unit lines.
 * :class:`CouplingFlow` for d>=2 — a stack of affine coupling layers with
   frozen random permutations in between. Inverted analytically.
 
@@ -27,7 +27,8 @@ __all__ = ["InversionError", "Mlp", "MonotonicNet", "CouplingFlow", "Staged"]
 
 
 class InversionError(RuntimeError):
-    """Numeric inversion failed (degenerate, near-flat map)."""
+    """Inversion failed: the map is not a bijection (a zero or non-finite
+    slope) or a target has no finite preimage."""
 
 
 class Staged:
@@ -193,7 +194,7 @@ class MonotonicNet:
 
     def effective_weights(self) -> np.ndarray:
         # overflow to inf is deliberate: a diverged w~ shows up as a
-        # degenerate slope and is caught by the inversion bracket logic
+        # non-finite slope, which inverse_batch rejects
         with np.errstate(over="ignore"):
             return self.sign * np.exp(self.w_tilde)
 
@@ -221,71 +222,33 @@ class MonotonicNet:
         j_sel = np.take_along_axis(j_best, k_best[..., None], axis=-1)[..., 0]
         return k_best, j_sel
 
-    def inverse(self, y: float, tol: float = 1e-10) -> float:
-        return float(self.inverse_batch(np.asarray([y], dtype=np.float64), tol)[0])
+    def inverse(self, y: float) -> float:
+        return float(self.inverse_batch(y))
 
-    def inverse_batch(self, ys: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        """Solve f(x)=y to |f(x)-y| < tol for an array of targets.
+    def inverse_batch(self, ys: np.ndarray) -> np.ndarray:
+        """Exact inverse at an array of targets.
 
-        Doubles the bracket [-r, r] from r=1 until each target is
-        straddled, bisects, then solves the active affine piece exactly.
+        Every unit line ``l_kj(x) = w_kj*x + b_kj`` is monotone in the
+        direction of s. Inverting a max of increasing maps gives the min of
+        their inverses and vice versa, so for s>0
+        ``f^{-1}(y) = max_k min_j (y - b_kj) / w_kj``. For s<0 the lines
+        decrease and both orders flip: ``min_k max_j`` of the same terms.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.sign == 0.0:
-            raise InversionError("inversion out of range: sign coefficient is zero")
-        ys = np.asarray(ys, dtype=np.float64)
         w = self.effective_weights()
-        b = self.bias
-
-        r = np.ones_like(ys)
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_lo = self.forward(-r)
-            f_hi = self.forward(r)
-            for _ in range(1024):
-                need = (f_lo - ys) * (f_hi - ys) > 0.0
-                if not need.any():
-                    break
-                r = np.where(need, r * 2.0, r)
-                if np.any(np.isinf(r)):
-                    raise InversionError("inversion out of range: bracket overflow")
-                f_lo = np.where(need, self.forward(-r), f_lo)
-                f_hi = np.where(need, self.forward(r), f_hi)
-            else:
-                raise InversionError(
-                    "inversion out of range: no bracket after 1024 doublings")
-
-        lo, hi = -r, r.copy()
-        increasing = self.sign > 0
-        out = np.empty_like(ys)
-        resolved = np.zeros(ys.shape, dtype=bool)
-        for rounds in (60, 60, 100):
-            for _ in range(rounds):
-                mid = 0.5 * (lo + hi)
-                f_mid = self.forward(mid)
-                go_right = (f_mid < ys) if increasing else (f_mid > ys)
-                lo = np.where(go_right, mid, lo)
-                hi = np.where(go_right, hi, mid)
-            mid = 0.5 * (lo + hi)
-            k, j = self.active_units(mid)
-            cand = (ys - b[k, j]) / w[k, j]
-            ok = np.abs(self.forward(cand) - ys) < tol
-            take = ok & ~resolved
-            out[take] = cand[take]
-            resolved |= ok
-            if resolved.all():
-                return out
-        # fall back to the bisection midpoint where refinement missed
-        mid = 0.5 * (lo + hi)
-        ok = np.abs(self.forward(mid) - ys) < tol
-        take = ok & ~resolved
-        out[take] = mid[take]
-        resolved |= ok
-        if not resolved.all():
+        if not np.all(np.isfinite(w) & (w != 0.0)):
             raise InversionError(
-                f"inversion out of range: {int((~resolved).sum())} target(s) "
-                f"unresolved at tol={tol:g}"
-            )
+                f"inversion out of range: zero or non-finite slope (sign {self.sign:g})")
+        ys = np.asarray(ys, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = (ys[..., None, None] - self.bias) / w
+        if self.sign > 0:
+            out = roots.min(axis=-1).max(axis=-1)
+        else:
+            out = roots.max(axis=-1).min(axis=-1)
+        if not np.all(np.isfinite(out)):
+            raise InversionError(
+                f"inversion out of range: {int(np.sum(~np.isfinite(out)))} "
+                "target(s) have no finite preimage")
         return out
 
     def active_segments(self, lo: float, hi: float):
@@ -356,11 +319,11 @@ class MonotonicNet:
         tape = staged.tape
         return tape.add(tape.mul(w_id, x_id), b_id)
 
-    def inverse_on_tape(self, staged: Staged, y_id: int, tol: float = 1e-10) -> int:
-        """Differentiable inverse: locate x numerically, then express it
-        through the active unit so gradients flow into y, w~, b, and s."""
+    def inverse_on_tape(self, staged: Staged, y_id: int) -> int:
+        """Differentiable inverse: solve for x in closed form, then express
+        it through the active unit so gradients flow into y, w~, b, and s."""
         tape = staged.tape
-        x_val = self.inverse(tape.val(y_id), tol)
+        x_val = self.inverse(tape.val(y_id))
         k, j = self.active_units(x_val)
         w_id, b_id = self.unit_ids(staged, int(k), int(j))
         return tape.div(tape.sub(y_id, b_id), w_id)

@@ -114,7 +114,7 @@ class TestAlgebraicLaws:
             x = rng.uniform(-2, 2, size=(1000, op.d))
             y = rng.uniform(-2, 2, size=(1000, op.d))
             diff = np.abs(op.combine(x, y) - op.combine(y, x))
-            assert np.max(diff) < 1e-8 + op.inv_tol
+            assert np.max(diff) < 1e-8
 
     def test_associativity(self):
         rng = np.random.default_rng(4)
@@ -171,6 +171,33 @@ class TestFold:
             batch = op.fold_many(sets)
             single = np.stack([op.fold(ms) for ms in sets])
             assert np.allclose(batch, single, atol=1e-9)
+
+
+class TestNonFiniteElements:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("combiner", ["sum", "product"])
+    def test_every_entry_point_rejects(self, bad, combiner):
+        rng = np.random.default_rng(9)
+        for op in (AbelianOp(MonotonicNet.initialized(3, 3, rng), combiner),
+                   AbelianOp(CouplingFlow(4, 2, 6, rng, init="random"), combiner)):
+            good = np.ones((2, op.d))
+            poisoned = good.copy()
+            poisoned[0, -1] = bad
+            calls = [lambda: op.combine(poisoned[0], good[1]),
+                     lambda: op.combine(good[1], poisoned[0]),
+                     lambda: op.fold(poisoned),
+                     lambda: op.fold_many([good, poisoned])]
+            if combiner == "sum":
+                calls.append(lambda: op.inverse_element(poisoned[0]))
+            for call in calls:
+                with pytest.raises(ValueError, match="non-finite element"):
+                    call()
+
+    def test_scalar_fold_names_the_problem(self):
+        op = AbelianOp(MonotonicNet.initialized(3, 3, np.random.default_rng(10)), "sum")
+        for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="non-finite element"):
+                op.fold(bad)
 
 
 class TestFoldOnTape:

@@ -77,7 +77,7 @@ class TestCriterion1AlgebraicLaws:
         for op in random_op_suite(SEED):
             x, y, z = (rng.uniform(-2, 2, size=(1000, op.d)) for _ in range(3))
             comm = float(np.max(np.abs(op.combine(x, y) - op.combine(y, x))))
-            tol_comm = 1e-8 + (op.inv_tol if op.d == 1 else 0.0)
+            tol_comm = 1e-8
             assert comm < tol_comm
             assoc = float(np.max(np.abs(
                 op.combine(op.combine(x, y), z) - op.combine(x, op.combine(y, z)))))
@@ -113,7 +113,7 @@ class TestCriterion2Inversion:
         net = MonotonicNet.initialized(4, 4, rng)
         pts = rng.uniform(-20, 20, size=1000)
         mono_err = float(np.max(np.abs(
-            net.inverse_batch(net.forward(pts), tol=1e-10) - pts)))
+            net.inverse_batch(net.forward(pts)) - pts)))
         assert mono_err < 1e-9
         report(2, True,
                f"coupling round-trip {flow_err:.2e}, monotonic {mono_err:.2e}")

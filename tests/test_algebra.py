@@ -168,7 +168,7 @@ class TestCanonicalSemigroupOp:
         got = op.combine(x, y)
         # phi(t) = rho(t) + alpha/2 twice gives rho(x)+rho(y)+alpha inside
         want = rho.inverse_batch(
-            rho.forward(x[:, 0]) + rho.forward(y[:, 0]) + 0.7, 1e-12)[:, None]
+            rho.forward(x[:, 0]) + rho.forward(y[:, 0]) + 0.7)[:, None]
         assert np.max(np.abs(got - want)) < 1e-8
 
     @pytest.mark.parametrize("kind", ["additive", "bilinear"])

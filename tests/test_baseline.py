@@ -44,6 +44,20 @@ class TestDeepSetsForward:
         with pytest.raises(EmptyMultisetError, match="empty multiset"):
             model.forward(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_element(self, bad):
+        rng = np.random.default_rng(4)
+        model = DeepSetsModel(2, 2, 4, 4, rng)
+        X = np.ones((3, 2))
+        X[1, 0] = bad
+        tape = Tape()
+        staged = model.stage(tape)
+        for call in (lambda: model.forward(X), lambda: model.fold(X),
+                     lambda: model.fold_many([np.ones((3, 2)), X]),
+                     lambda: model.fold_batch_on_tape(staged, [X])):
+            with pytest.raises(ValueError, match="non-finite element"):
+                call()
+
     def test_fold_many_matches_forward(self):
         rng = np.random.default_rng(3)
         model = DeepSetsModel(2, 2, 6, 5, rng)

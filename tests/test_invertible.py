@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abnn.invertible import CouplingFlow, InversionError, Mlp, MonotonicNet
 from abnn.numcore import ParamStore, Tape
@@ -61,17 +62,17 @@ class TestMonotonicForward:
 class TestMonotonicInverse:
     def test_identity_configuration(self):
         net = make_mono([[0.0]], [[0.0]])
-        assert net.inverse(7.0, tol=1e-12) == pytest.approx(7.0, abs=1e-10)
+        assert net.inverse(7.0) == pytest.approx(7.0, abs=1e-10)
 
     def test_piecewise_analytic(self):
         net = make_mono([[math.log(2.0)], [0.0]], [[0.0], [3.0]])
-        assert net.inverse(8.0, tol=1e-12) == pytest.approx(5.0, abs=1e-10)
+        assert net.inverse(8.0) == pytest.approx(5.0, abs=1e-10)
 
     def test_round_trip_1000_points(self):
         rng = np.random.default_rng(7)
         net = MonotonicNet.initialized(4, 4, rng)
         xs = rng.uniform(-20, 20, size=1000)
-        back = net.inverse_batch(net.forward(xs), tol=1e-10)
+        back = net.inverse_batch(net.forward(xs))
         assert np.max(np.abs(back - xs)) < 1e-9
 
     def test_decreasing_net_round_trip(self):
@@ -79,8 +80,30 @@ class TestMonotonicInverse:
         net = MonotonicNet.initialized(3, 3, rng)
         net.store.values[-1] = -1.0
         xs = rng.uniform(-20, 20, size=200)
-        back = net.inverse_batch(net.forward(xs), tol=1e-10)
+        back = net.inverse_batch(net.forward(xs))
         assert np.max(np.abs(back - xs)) < 1e-9
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 32), j=st.integers(1, 32), sign=st.sampled_from([1.0, -1.0]),
+           seed=st.integers(0, 2**32 - 1),
+           xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+    def test_closed_form_is_the_active_piece_solve(self, k, j, sign, seed, xs):
+        net = MonotonicNet.initialized(k, j, np.random.default_rng(seed))
+        net.store.values[-1] = sign
+        xs = np.asarray(xs)
+        ys = net.forward(xs)
+        back = net.inverse_batch(ys)
+        # bitwise the affine solve on the piece active at the answer
+        ka, ja = net.active_units(back)
+        piece = (ys - net.bias[ka, ja]) / net.effective_weights()[ka, ja]
+        assert np.array_equal(back.view(np.int64), piece.view(np.int64))
+        assert np.max(np.abs(back - xs)) < 1e-9
+
+    def test_target_without_finite_preimage_is_an_error(self):
+        net = make_mono([[-700.0]], [[0.0]])  # slope ~1e-304: 1e10 maps past 1e308
+        for y in (1e10, np.nan, np.inf):
+            with pytest.raises(InversionError, match="inversion out of range"):
+                net.inverse(y)
 
     def test_degenerate_sign_is_an_error(self):
         net = make_mono([[0.0]], [[0.0]], s=0.0)
@@ -192,7 +215,7 @@ class TestMonotonicTape:
 
         def f(theta):
             net.store.values[:] = theta
-            x = net.inverse(y, tol=1e-12)
+            x = net.inverse(y)
             net.store.values[:] = theta0
             return x
 
