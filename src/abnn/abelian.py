@@ -177,7 +177,7 @@ class AbelianOp:
             raise EmptyMultisetError("empty multiset")
         if self.d == 1:
             return self._fold_batch_mono(staged, multisets)
-        return [self._fold_flow(staged, self._as_multiset(ms)) for ms in multisets]
+        return self._fold_batch_flow(staged, [self._as_multiset(ms) for ms in multisets])
 
     def _fold_batch_mono(self, staged: Staged, multisets) -> list[list[int]]:
         tape = staged.tape
@@ -204,14 +204,20 @@ class AbelianOp:
             outs.append([tape.div(tape.sub(z_id, b_id), w_id)])
         return outs
 
-    def _fold_flow(self, staged: Staged, X: np.ndarray) -> list[int]:
+    def _fold_batch_flow(self, staged: Staged, sets) -> list[list[int]]:
         tape = staged.tape
-        phis = [self.phi.forward_on_tape(staged, tape.consts(row)) for row in X]
+        phis = self.phi.forward_batch_on_tape(
+            staged, [tape.consts(row) for X in sets for row in X])
         combine = tape.add if self.combiner == SUM else tape.mul
-        acc = phis[0]
-        for ids in phis[1:]:
-            acc = [combine(a, b) for a, b in zip(acc, ids)]
-        return self.phi.inverse_on_tape(staged, acc)
+        zs = []
+        pos = 0
+        for X in sets:
+            acc = phis[pos]
+            for ids in phis[pos + 1 : pos + len(X)]:
+                acc = [combine(a, b) for a, b in zip(acc, ids)]
+            zs.append(acc)
+            pos += len(X)
+        return self.phi.inverse_batch_on_tape(staged, zs)
 
 
 # -- Lipschitz estimation and the size-generalization bound -------------------

@@ -226,9 +226,6 @@ class MlpModel:
 
         return Staged(tape, tape.stage_params(self.store))
 
-    def forward_on_tape(self, staged, x_ids):
-        return self.net.forward_on_tape(staged, x_ids)
-
 
 def _check_dims(*vecs):
     dims = {np.asarray(v).shape[-1] for v in vecs}
@@ -287,19 +284,19 @@ def train_analogy(kind: str, table: EmbeddingTable, train_examples,
             idx = order[s : s + cfg.batch_size]
             tape = Tape()
             staged = model.stage(tape)
-            per_example = []
-            for i in idx:
-                if kind == "wv_mlp":
-                    out = model.forward_on_tape(staged, tape.consts(B[i] - A[i] + C[i]))
-                else:
-                    phi = model.phi
-                    pb = phi.forward_on_tape(staged, tape.consts(B[i]))
-                    pa = phi.forward_on_tape(staged, tape.consts(A[i]))
-                    pc = phi.forward_on_tape(staged, tape.consts(C[i]))
-                    z = [tape.add(tape.sub(vb, va), vc)
-                         for vb, va, vc in zip(pb, pa, pc)]
-                    out = phi.inverse_on_tape(staged, z)
-                per_example.append(tape.neg(cosine_on_tape(tape, out, D[i])))
+            if kind == "wv_mlp":
+                outs = model.net.forward_batch_on_tape(
+                    staged, [tape.consts(B[i] - A[i] + C[i]) for i in idx])
+            else:
+                phi = model.phi
+                pbac = phi.forward_batch_on_tape(
+                    staged, [tape.consts(v[i]) for i in idx for v in (B, A, C)])
+                z = [[tape.add(tape.sub(vb, va), vc)
+                      for vb, va, vc in zip(*pbac[3 * r : 3 * r + 3])]
+                     for r in range(len(idx))]
+                outs = [phi.inverse_on_tape(staged, zr) for zr in z]
+            per_example = [tape.neg(cosine_on_tape(tape, out, D[i]))
+                           for out, i in zip(outs, idx)]
             loss = tape.mean_of(per_example)
             lval = tape.val(loss)
             if not math.isfinite(lval):

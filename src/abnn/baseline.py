@@ -92,20 +92,28 @@ class DeepSetsModel:
         return Staged(tape, tape.stage_params(self.store))
 
     def fold_on_tape(self, staged: Staged, X) -> list[int]:
-        tape = staged.tape
-        X = self._canonical(X)
-        feats = [self.inner.forward_on_tape(staged, tape.consts(row)) for row in X]
-        key = (id(self), "pool_one")
-        one = staged.cache.get(key)
-        if one is None:
-            one = tape.const(1.0)
-            staged.cache[key] = (one, tape.const(0.0))
-        one, zero = staged.cache[key]
-        pooled = [
-            tape.affine([f[c] for f in feats], [one] * len(feats), zero)
-            for c in range(self.middle_dim)
-        ]
-        return self.outer.forward_on_tape(staged, pooled)
+        return self.fold_batch_on_tape(staged, [X])[0]
 
     def fold_batch_on_tape(self, staged: Staged, multisets) -> list[list[int]]:
-        return [self.fold_on_tape(staged, ms) for ms in multisets]
+        """Every element through the inner block at once, one sum-pooling
+        block in canonical order, then the outer block on the pooled rows."""
+        tape = staged.tape
+        sets = [self._canonical(X) for X in multisets]
+        if not sets:
+            return []
+        d, width = self.d, self.middle_dim
+        elems = tape.consts(np.concatenate(sets).ravel())
+        feats = self.inner.forward_batch_on_tape(
+            staged, [elems[r * d : (r + 1) * d] for r in range(len(elems) // d)])
+        flat = [x for f in feats for x in f]
+        counts = [len(X) for X in sets]
+        starts = np.cumsum([0] + counts[:-1])
+        pooled = np.add.reduceat(np.asarray(tape.vals(flat)).reshape(-1, width),
+                                 starts, axis=0)
+
+        def vjp(g):
+            return [(flat, np.repeat(g.reshape(pooled.shape), counts, axis=0).ravel())]
+
+        ids = tape.block(pooled.ravel(), vjp)
+        return self.outer.forward_batch_on_tape(
+            staged, [ids[i * width : (i + 1) * width] for i in range(len(sets))])

@@ -117,34 +117,46 @@ class Mlp:
                 np.maximum(h, 0.0, out=h)
         return margin
 
-    def _row_ids(self, staged: Staged, i: int):
-        key = (id(self), i)
-        ids = staged.cache.get(key)
-        if ids is None:
-            w_start, b_start, n_out, n_in, _ = self._layers[i]
-            base = staged.base
-            rows = [
-                tuple(range(base + w_start + r * n_in, base + w_start + (r + 1) * n_in))
-                for r in range(n_out)
-            ]
-            biases = [base + b_start + r for r in range(n_out)]
-            ids = (rows, biases)
-            staged.cache[key] = ids
-        return ids
-
     def forward_on_tape(self, staged: Staged, x_ids):
-        # values via one matvec against the store (identical to the staged
-        # leaves within a step); nodes record structure for backward
+        return self.forward_batch_on_tape(staged, [x_ids])[0]
+
+    def forward_batch_on_tape(self, staged: Staged, batch_ids):
+        """The MLP on a batch of input vectors as one tape block.
+
+        Values come from a numpy pass over the store (identical to the
+        staged leaves within a step); backward is the matching numpy
+        vector-Jacobian product into the inputs and the staged weights.
+        """
         tape = staged.tape
-        h = x_ids
+        flat_in = [x for ids in batch_ids for x in ids]
+        h = np.asarray(tape.vals(flat_in)).reshape(len(batch_ids), self.dims[0])
+        weights, acts, masks = [], [], []
         for i in range(len(self._layers)):
-            rows, biases = self._row_ids(staged, i)
-            vals = self.weight(i) @ np.asarray(tape.vals(h)) + self.bias(i)
-            h = [tape.affine_given(v, h, w, b)
-                 for v, w, b in zip(vals, rows, biases)]
+            w = self.weight(i).copy()
+            weights.append(w)
+            acts.append(h)
+            h = h @ w.T + self.bias(i)
             if not self._layers[i][4]:
-                h = tape.relus(h)
-        return h
+                masks.append(h > 0.0)
+                np.maximum(h, 0.0, out=h)
+        first = self._layers[0][0]
+        params = range(staged.base + first, staged.base + first + self.size)
+
+        def vjp(g):
+            g = g.reshape(h.shape)
+            grads = np.empty(len(params))
+            for i in range(len(self._layers) - 1, -1, -1):
+                w_start, b_start, n_out, _, last = self._layers[i]
+                if not last:
+                    g = g * masks[i]
+                grads[w_start - first : b_start - first] = (g.T @ acts[i]).ravel()
+                grads[b_start - first : b_start - first + n_out] = g.sum(axis=0)
+                g = g @ weights[i]
+            return [(params, grads), (flat_in, g.ravel())]
+
+        ids = tape.block(h.ravel(), vjp)
+        n_out = self.dims[-1]
+        return [ids[r * n_out : (r + 1) * n_out] for r in range(len(batch_ids))]
 
 
 class MonotonicNet:
@@ -455,37 +467,47 @@ class CouplingFlow:
         neg_c, pos_c = consts
         return tape.minimum(tape.maximum(a_id, neg_c), pos_c)
 
+    def _check_rows(self, batch_ids) -> None:
+        for ids in batch_ids:
+            if len(ids) != self.d:
+                raise ValueError(f"dimension mismatch: expected {self.d}, got {len(ids)}")
+
     def forward_on_tape(self, staged: Staged, x_ids):
-        tape = staged.tape
-        if len(x_ids) != self.d:
-            raise ValueError(f"dimension mismatch: expected {self.d}, got {len(x_ids)}")
-        h = list(x_ids)
-        for i in range(self.n_layers):
-            h = [h[p] for p in self.perms[i]]
-            x1, x2 = h[: self.split], h[self.split :]
-            a_ids = self.scale_nets[i].forward_on_tape(staged, x1)
-            t_ids = self.shift_nets[i].forward_on_tape(staged, x1)
-            y2 = [
-                tape.add(tape.mul(x2c, tape.exp(self._clamped(tape, staged, ac))), tc)
-                for x2c, ac, tc in zip(x2, a_ids, t_ids)
-            ]
-            h = x1 + y2
-        return h
+        return self.forward_batch_on_tape(staged, [x_ids])[0]
 
     def inverse_on_tape(self, staged: Staged, y_ids):
+        return self.inverse_batch_on_tape(staged, [y_ids])[0]
+
+    def forward_batch_on_tape(self, staged: Staged, batch_ids):
+        """The flow on a batch of vectors; each subnet is one block per layer."""
         tape = staged.tape
-        if len(y_ids) != self.d:
-            raise ValueError(f"dimension mismatch: expected {self.d}, got {len(y_ids)}")
-        h = list(y_ids)
-        for i in range(self.n_layers - 1, -1, -1):
-            y1, y2 = h[: self.split], h[self.split :]
-            a_ids = self.scale_nets[i].forward_on_tape(staged, y1)
-            t_ids = self.shift_nets[i].forward_on_tape(staged, y1)
-            x2 = [
-                tape.mul(tape.sub(y2c, tc),
-                         tape.exp(tape.neg(self._clamped(tape, staged, ac))))
-                for y2c, ac, tc in zip(y2, a_ids, t_ids)
+        self._check_rows(batch_ids)
+        hs = [list(ids) for ids in batch_ids]
+        for i in range(self.n_layers):
+            hs = [[h[p] for p in self.perms[i]] for h in hs]
+            x1s = [h[: self.split] for h in hs]
+            a_rows = self.scale_nets[i].forward_batch_on_tape(staged, x1s)
+            t_rows = self.shift_nets[i].forward_batch_on_tape(staged, x1s)
+            hs = [
+                x1 + [tape.add(tape.mul(x2c, tape.exp(self._clamped(tape, staged, ac))), tc)
+                      for x2c, ac, tc in zip(h[self.split :], a_ids, t_ids)]
+                for h, x1, a_ids, t_ids in zip(hs, x1s, a_rows, t_rows)
             ]
-            h = y1 + x2
-            h = [h[p] for p in self.inv_perms[i]]
-        return h
+        return hs
+
+    def inverse_batch_on_tape(self, staged: Staged, batch_ids):
+        tape = staged.tape
+        self._check_rows(batch_ids)
+        hs = [list(ids) for ids in batch_ids]
+        for i in range(self.n_layers - 1, -1, -1):
+            y1s = [h[: self.split] for h in hs]
+            a_rows = self.scale_nets[i].forward_batch_on_tape(staged, y1s)
+            t_rows = self.shift_nets[i].forward_batch_on_tape(staged, y1s)
+            hs = [
+                y1 + [tape.mul(tape.sub(y2c, tc),
+                               tape.exp(tape.neg(self._clamped(tape, staged, ac))))
+                      for y2c, ac, tc in zip(h[self.split :], a_ids, t_ids)]
+                for h, y1, a_ids, t_ids in zip(hs, y1s, a_rows, t_rows)
+            ]
+            hs = [[h[p] for p in self.inv_perms[i]] for h in hs]
+        return hs

@@ -1,9 +1,10 @@
-"""Scalar reverse-mode tape, parameter store, Adam updates, and loss functions.
+"""Reverse-mode tape, parameter store, Adam updates, and loss functions.
 
-Every trainable model in this package records its forward pass as scalar
-primitives on a :class:`Tape` and gets exact gradients from one backward
-sweep. Frozen-parameter math (evaluation, root finding) bypasses the tape
-and uses numpy directly.
+Every trainable model in this package records its forward pass on a
+:class:`Tape` and gets exact gradients from one backward sweep. Most nodes
+are scalar primitives; a dense MLP is one vector-valued block whose
+gradient is a numpy vector-Jacobian product. Frozen-parameter math
+(evaluation, inversion) bypasses the tape and uses numpy directly.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ class ParamStore:
 #   binary     : (v, a,  b, da, db)
 #   affine     : (v, xs, ws, bias_id, None)   -- fused dot product + bias;
 #                xs/ws are tuples of node ids, db=None marks the layout.
+# A block's outputs are leaves; the block's vector-Jacobian product runs
+# once the sweep has passed all of them (see ``block``).
 class Tape:
-    """Ordered record of scalar primitives with reverse-mode replay.
+    """Ordered record of scalar primitives and vector blocks with
+    reverse-mode replay.
 
     Node ids are ints in creation order. A tape is built fresh for every
     training step and thrown away after ``backward``.
@@ -74,6 +78,7 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._staged = []  # (base node id, ParamStore)
+        self._blocks = []  # (first output id, output count, vjp)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -194,16 +199,6 @@ class Tape:
             nodes.append((0.0, a, -1, 0.0, 0.0))
         return len(nodes) - 1
 
-    def relus(self, ids) -> list[int]:
-        nodes = self._nodes
-        base = len(nodes)
-        nodes.extend(
-            (v, a, -1, 1.0, 0.0) if (v := nodes[a][0]) > 0.0
-            else (0.0, a, -1, 0.0, 0.0)
-            for a in ids
-        )
-        return list(range(base, base + len(ids)))
-
     # Ties route the gradient to the first argument, so a left-fold over a
     # sequence sends it to the lowest index.
     def maximum(self, a: int, b: int) -> int:
@@ -239,12 +234,18 @@ class Tape:
         nodes.append((acc, tuple(xs), tuple(ws), bias, None))
         return len(nodes) - 1
 
-    def affine_given(self, value: float, xs, ws, bias: int) -> int:
-        """Affine node with a caller-computed value (e.g. one row of a BLAS
-        matvec over the same staged parameters). Backward is unchanged; the
-        caller guarantees the value matches the recorded operands."""
-        self._nodes.append((float(value), tuple(xs), tuple(ws), bias, None))
-        return len(self._nodes) - 1
+    def block(self, values, vjp) -> list[int]:
+        """Vector-valued primitive whose values were computed outside the tape.
+
+        ``values`` become leaf nodes. During ``backward``, once the sweep
+        has passed all of them, ``vjp(adjoints)`` receives their adjoints as
+        an array and returns ``(ids, grads)`` pairs to add into earlier
+        nodes; ``ids`` is a sequence of node ids, best a ``range``.
+        """
+        ids = self.consts(values)
+        if ids:
+            self._blocks.append((ids[0], len(ids), vjp))
+        return ids
 
     # -- reductions over many nodes ----------------------------------------
 
@@ -274,13 +275,35 @@ class Tape:
 
     def backward(self, output: int) -> None:
         """Accumulate d(output)/d(theta) into every staged store's grads."""
-        nodes = self._nodes
-        n = len(nodes)
+        n = len(self._nodes)
         if not isinstance(output, int) or not 0 <= output < n:
             raise DanglingNodeError(f"dangling node id {output!r}")
         adj = [0.0] * n
         adj[output] = 1.0
-        for i in range(n - 1, -1, -1):
+        hi = output + 1
+        for start, m, vjp in reversed(self._blocks):
+            if start > output:
+                continue
+            self._sweep(adj, start + m, hi)
+            hi = start
+            g = np.asarray(adj[start : start + m])
+            if not g.any():
+                continue
+            for ids, grads in vjp(g):
+                if isinstance(ids, range) and ids.step == 1:
+                    lo, up = ids.start, ids.stop
+                    adj[lo:up] = (np.asarray(adj[lo:up]) + grads).tolist()
+                else:
+                    for x, gx in zip(ids, grads.tolist()):
+                        adj[x] += gx
+        self._sweep(adj, 0, hi)
+        for base, store in self._staged:
+            store.grads += adj[base : base + len(store.values)]
+
+    def _sweep(self, adj: list, lo: int, hi: int) -> None:
+        """Reverse pass over the scalar nodes ``hi-1`` down to ``lo``."""
+        nodes = self._nodes
+        for i in range(hi - 1, lo - 1, -1):
             g = adj[i]
             if g == 0.0:
                 continue
@@ -294,8 +317,6 @@ class Tape:
                 adj[a] += da * g
                 if b >= 0:
                     adj[b] += db * g
-        for base, store in self._staged:
-            store.grads += adj[base : base + len(store.values)]
 
 
 def adam_step(

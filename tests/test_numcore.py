@@ -66,6 +66,26 @@ class TestBackward:
         tape.backward(out)
         assert store.grads[0] == pytest.approx(4.0)
 
+    def test_block_chains_with_scalar_nodes(self):
+        # f = u*w + sin(u + w) with u = p0^2 and w = p1*p2; the pair
+        # (u*w, u + w) is one block over a scalar node, and w is a block
+        # whose product rule adds into the staged range
+        def f(t, p):
+            u = t.square(p[0])
+            v1, v2 = t.val(p[1]), t.val(p[2])
+            (w,) = t.block([v1 * v2],
+                           lambda g: [(range(p[1], p[2] + 1), g * np.array([v2, v1]))])
+            vu, vw = t.val(u), t.val(w)
+            prod, total = t.block(
+                [vu * vw, vu + vw],
+                lambda g: [([u, w], np.array([g[0] * vw + g[1], g[0] * vu + g[1]]))])
+            return t.add(prod, t.sin(total))
+
+        values = [1.3, -0.7, 0.4]
+        fd = central_diff(lambda x: x[0] ** 2 * x[1] * x[2]
+                          + math.sin(x[0] ** 2 + x[1] * x[2]), values, h=1e-6)
+        assert_grad_close(grad_of(f, values), fd)
+
 
 class TestPrimitiveGradients:
     """Reverse-mode vs central differences for composite chains."""
