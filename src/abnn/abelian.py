@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -100,13 +101,14 @@ class AbelianOp:
 
     def _as_multiset(self, X) -> np.ndarray:
         """Normalize to (m, d); a flat array is a 1-D multiset when d=1,
-        otherwise a single vector."""
+        otherwise a single vector. Callers check finiteness once over all
+        the multisets of a call."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[:, None] if self.d == 1 else X[None, :]
         if X.ndim != 2 or X.shape[-1] != self.d:
             raise ValueError(f"dimension mismatch: expected (m, {self.d}), got {X.shape}")
-        return require_finite(X)
+        return X
 
     def _combine_vals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b if self.combiner == SUM else a * b
@@ -139,7 +141,7 @@ class AbelianOp:
         Left fold in stored order; commutativity makes the order
         semantically irrelevant but fixing it keeps results reproducible.
         """
-        X = self._as_multiset(X)
+        X = require_finite(self._as_multiset(X))
         if X.shape[0] == 0:
             raise EmptyMultisetError("empty multiset")
         f = map_forward(self.phi, X)
@@ -158,7 +160,7 @@ class AbelianOp:
         for m, idx in by_size.items():
             if m == 0:
                 raise EmptyMultisetError("empty multiset")
-            block = np.stack([self._as_multiset(multisets[i]) for i in idx])
+            block = require_finite(np.stack([self._as_multiset(multisets[i]) for i in idx]))
             f = map_forward(self.phi, block)  # (g, m, d)
             acc = f[:, 0]
             for e in range(1, m):
@@ -172,52 +174,24 @@ class AbelianOp:
         return self.phi.stage(tape)
 
     def fold_batch_on_tape(self, staged: Staged, multisets) -> list[list[int]]:
-        """Record folds for a whole batch; one vectorized inversion pass."""
+        """Record folds for a whole batch: phi on every element row, the
+        combiner over each multiset in stored order, then phi^{-1} on all
+        the combined rows."""
         if any(len(ms) == 0 for ms in multisets):
             raise EmptyMultisetError("empty multiset")
-        if self.d == 1:
-            return self._fold_batch_mono(staged, multisets)
-        return self._fold_batch_flow(staged, [self._as_multiset(ms) for ms in multisets])
-
-    def _fold_batch_mono(self, staged: Staged, multisets) -> list[list[int]]:
+        sets = [self._as_multiset(ms) for ms in multisets]
         tape = staged.tape
-        phi = self.phi
-        flat_vals = np.concatenate(
-            [np.asarray(ms, dtype=np.float64).reshape(-1) for ms in multisets])
-        ks, js = phi.active_units(flat_vals)
-        combine = tape.add if self.combiner == SUM else tape.mul
-        z_ids = []
-        pos = 0
-        for ms in multisets:
-            acc = None
-            for v in np.asarray(ms, dtype=np.float64).reshape(-1):
-                w_id, b_id = phi.unit_ids(staged, int(ks[pos]), int(js[pos]))
-                node = tape.add(tape.mul(w_id, tape.const(v)), b_id)
-                acc = node if acc is None else combine(acc, node)
-                pos += 1
-            z_ids.append(acc)
-        xs = phi.inverse_batch(np.array(tape.vals(z_ids)))
-        ks, js = phi.active_units(xs)
-        outs = []
-        for z_id, k, j in zip(z_ids, ks, js):
-            w_id, b_id = phi.unit_ids(staged, int(k), int(j))
-            outs.append([tape.div(tape.sub(z_id, b_id), w_id)])
-        return outs
-
-    def _fold_batch_flow(self, staged: Staged, sets) -> list[list[int]]:
-        tape = staged.tape
-        phis = self.phi.forward_batch_on_tape(
-            staged, [tape.consts(row) for X in sets for row in X])
+        d = self.d
+        elems = tape.consts(require_finite(np.concatenate(sets)).ravel())
+        phis = self.phi.forward_on_tape(
+            staged, [elems[r : r + d] for r in range(0, len(elems), d)])
         combine = tape.add if self.combiner == SUM else tape.mul
         zs = []
         pos = 0
         for X in sets:
-            acc = phis[pos]
-            for ids in phis[pos + 1 : pos + len(X)]:
-                acc = [combine(a, b) for a, b in zip(acc, ids)]
-            zs.append(acc)
+            zs.append([reduce(combine, col) for col in zip(*phis[pos : pos + len(X)])])
             pos += len(X)
-        return self.phi.inverse_batch_on_tape(staged, zs)
+        return self.phi.inverse_on_tape(staged, zs)
 
 
 # -- Lipschitz estimation and the size-generalization bound -------------------

@@ -10,16 +10,17 @@ cosine, optionally excluding the three query words from the candidates.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .abelian import AbelianOp
-from .harness import TrainConfig
+from .harness import TrainConfig, fit
 from .invertible import CouplingFlow, Mlp
-from .numcore import DivergedError, ParamStore, Tape, adam_step, cosine_on_tape
+# adam_step is not called here (harness.fit runs the updates); the name stays
+# because the benchmark in perfbench/ traces abnn.analogy:adam_step
+from .numcore import ParamStore, Tape, adam_step, cosine_on_tape  # noqa: F401
 
 __all__ = [
     "AnalogyExample",
@@ -274,39 +275,23 @@ def train_analogy(kind: str, table: EmbeddingTable, train_examples,
     B = np.stack([table.lookup(e.b) for e in train_examples])
     C = np.stack([table.lookup(e.c) for e in train_examples])
     D = np.stack([table.lookup(e.d_candidates[0]) for e in train_examples])
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 12]))
-    n = len(train_examples)
-    losses = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for s in range(0, n, cfg.batch_size):
-            idx = order[s : s + cfg.batch_size]
-            tape = Tape()
-            staged = model.stage(tape)
-            if kind == "wv_mlp":
-                outs = model.net.forward_batch_on_tape(
-                    staged, [tape.consts(B[i] - A[i] + C[i]) for i in idx])
-            else:
-                phi = model.phi
-                pbac = phi.forward_batch_on_tape(
-                    staged, [tape.consts(v[i]) for i in idx for v in (B, A, C)])
-                z = [[tape.add(tape.sub(vb, va), vc)
-                      for vb, va, vc in zip(*pbac[3 * r : 3 * r + 3])]
-                     for r in range(len(idx))]
-                outs = [phi.inverse_on_tape(staged, zr) for zr in z]
-            per_example = [tape.neg(cosine_on_tape(tape, out, D[i]))
-                           for out, i in zip(outs, idx)]
-            loss = tape.mean_of(per_example)
-            lval = tape.val(loss)
-            if not math.isfinite(lval):
-                raise DivergedError(f"diverged: non-finite loss at epoch {epoch}")
-            tape.backward(loss)
-            adam_step(model.store, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps,
-                      cfg.weight_decay)
-            epoch_loss += lval * len(idx)
-        losses.append(epoch_loss / n)
-    return model, losses
+
+    def batch_loss(tape, staged, idx):
+        if kind == "wv_mlp":
+            outs = model.net.forward_on_tape(
+                staged, [tape.consts(B[i] - A[i] + C[i]) for i in idx])
+        else:
+            phi = model.phi
+            pbac = phi.forward_on_tape(
+                staged, [tape.consts(v[i]) for i in idx for v in (B, A, C)])
+            outs = phi.inverse_on_tape(staged, [
+                [tape.add(tape.sub(vb, va), vc)
+                 for vb, va, vc in zip(*pbac[3 * r : 3 * r + 3])]
+                for r in range(len(idx))])
+        return tape.mean_of([tape.neg(cosine_on_tape(tape, out, D[i]))
+                             for out, i in zip(outs, idx)])
+
+    return model, fit(model, batch_loss, len(train_examples), cfg, stream=12)
 
 
 def evaluate_analogy(kind: str, model, table: EmbeddingTable, test,

@@ -91,9 +91,6 @@ class DeepSetsModel:
     def stage(self, tape: Tape) -> Staged:
         return Staged(tape, tape.stage_params(self.store))
 
-    def fold_on_tape(self, staged: Staged, X) -> list[int]:
-        return self.fold_batch_on_tape(staged, [X])[0]
-
     def fold_batch_on_tape(self, staged: Staged, multisets) -> list[list[int]]:
         """Every element through the inner block at once, one sum-pooling
         block in canonical order, then the outer block on the pooled rows."""
@@ -103,7 +100,7 @@ class DeepSetsModel:
             return []
         d, width = self.d, self.middle_dim
         elems = tape.consts(np.concatenate(sets).ravel())
-        feats = self.inner.forward_batch_on_tape(
+        feats = self.inner.forward_on_tape(
             staged, [elems[r * d : (r + 1) * d] for r in range(len(elems) // d)])
         flat = [x for f in feats for x in f]
         counts = [len(X) for X in sets]
@@ -115,5 +112,5 @@ class DeepSetsModel:
             return [(flat, np.repeat(g.reshape(pooled.shape), counts, axis=0).ravel())]
 
         ids = tape.block(pooled.ravel(), vjp)
-        return self.outer.forward_batch_on_tape(
+        return self.outer.forward_on_tape(
             staged, [ids[i * width : (i + 1) * width] for i in range(len(sets))])

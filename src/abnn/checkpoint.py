@@ -33,6 +33,7 @@ __all__ = [
     "VersionMismatchError",
     "TruncatedError",
     "ChecksumError",
+    "TrailingBytesError",
     "KindMismatchError",
     "save_checkpoint",
     "load_checkpoint",
@@ -61,6 +62,10 @@ class TruncatedError(CheckpointError):
 
 class ChecksumError(CheckpointError):
     code = "checksum"
+
+
+class TrailingBytesError(CheckpointError):
+    code = "trailing_bytes"
 
 
 class KindMismatchError(CheckpointError):
@@ -188,6 +193,9 @@ def load_checkpoint(path, expected_kind: str | None = None):
     stored_crc = struct.unpack("<I", r.take(4))[0]
     if zlib.crc32(data[: r.pos - 4]) != stored_crc:
         raise ChecksumError("checkpoint checksum failure")
+    if r.pos != len(data):
+        raise TrailingBytesError(
+            f"{len(data) - r.pos} trailing byte(s) after the checksum")
     kind = kind_raw.decode()
     if expected_kind is not None and kind != expected_kind:
         raise KindMismatchError(

@@ -30,8 +30,6 @@ from .harness import (
     TASKS,
     SearchSpace,
     TrainConfig,
-    build_model,
-    evaluate,
     make_splits,
     random_search,
     run_experiment,
@@ -53,7 +51,13 @@ def _load_config_file(parser, path):
     if not os.path.exists(path):
         _fail(parser, f"config file not found: {path}")
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+            _fail(parser, f"config file {path} is not valid JSON: {err}")
+    if not isinstance(data, dict):
+        _fail(parser, f"config file {path} must hold a JSON object, "
+                      f"not {type(data).__name__}")
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
         _fail(parser, f"unknown config keys: {sorted(unknown)}")
@@ -73,13 +77,10 @@ def _resolve_config(parser, args, model: str, task: str | None = None,
         if flag is not None:
             merged[name] = flag
     merged["model"] = model
-    return TrainConfig(**merged)
-
-
-def _resolve_seed(parser, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(_load_config_file(parser, args.config).get("seed", 0))
+    try:
+        return TrainConfig(**merged)
+    except (TypeError, ValueError) as err:
+        _fail(parser, f"invalid config: {err}")
 
 
 def _ensure_out(args, default_name: str) -> str:
@@ -283,7 +284,7 @@ def cmd_analogy_eval(parser, args) -> int:
     if args.kind not in _KIND_MAP:
         _fail(parser, f"unknown kind {args.kind!r}; expected wv, mlp, or agn")
     kind = _KIND_MAP[args.kind]
-    seed = _resolve_seed(parser, args)
+    seed = _resolve_config(parser, args, args.kind).seed
     table, splits = _load_analogy_inputs(parser, args, seed)
     model = None
     if kind != "wv":

@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "generate_dataset",
     "make_splits",
     "build_model",
+    "fit",
     "train",
     "evaluate",
     "SearchSpace",
@@ -114,10 +117,19 @@ class TrainConfig:
     middle_dim: int = 16
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = {"int": Integral, "float": Real, "str": str}[f.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(f"{f.name} must be {f.type}, "
+                                f"got {type(value).__name__} {value!r}")
+        for name, least in (("epochs", 0), ("seed", 0), ("batch_size", 1),
+                            ("k_groups", 1), ("j_units", 1), ("n_layers", 1),
+                            ("hidden_dim", 1), ("middle_dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not self.lr > 0.0:
+            raise ValueError("lr must be > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -170,20 +182,18 @@ def build_model(cfg: TrainConfig, d: int = 1):
     raise ValueError(f"unknown model {cfg.model!r}; expected agn, asn, or deepsets")
 
 
-def train(model, data, cfg: TrainConfig) -> ExperimentResult:
-    """Minibatch Adam on mean squared error; loss recorded per epoch.
+def fit(model, batch_loss, n: int, cfg: TrainConfig, stream: int) -> list[float]:
+    """Minibatch Adam over ``n`` examples; returns the mean loss per epoch.
 
-    Deterministic given (cfg.seed, cfg): batch order comes from a seed
-    stream independent of data generation and init.
+    Every epoch visits the examples in an order drawn from the seed stream
+    ``[cfg.seed, stream]``. ``batch_loss(tape, staged, idx)`` records the
+    mean loss of the examples ``idx`` on ``tape`` and returns its node. A
+    non-finite loss or gradient, or a phi that stops being invertible,
+    raises :class:`DivergedError` with the loss curve so far and the epoch
+    in its diagnostics.
     """
-    if len(data) == 0:
-        raise ValueError("training data is empty")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _STREAM_SHUFFLE]))
-    multisets = [ms for ms, _ in data]
-    targets = np.stack([t for _, t in data])
-    n = len(data)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
     losses: list[float] = []
-    t0 = time.perf_counter()
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -191,9 +201,7 @@ def train(model, data, cfg: TrainConfig) -> ExperimentResult:
             for s in range(0, n, cfg.batch_size):
                 idx = order[s : s + cfg.batch_size]
                 tape = Tape()
-                staged = model.stage(tape)
-                preds = model.fold_batch_on_tape(staged, [multisets[i] for i in idx])
-                loss = mse_on_tape(tape, preds, targets[idx])
+                loss = batch_loss(tape, model.stage(tape), idx)
                 lval = tape.val(loss)
                 if not math.isfinite(lval):
                     raise DivergedError(f"diverged: non-finite loss at epoch {epoch}")
@@ -212,6 +220,26 @@ def train(model, data, cfg: TrainConfig) -> ExperimentResult:
                 diagnostics={"loss_curve": losses, "epoch": epoch},
             ) from err
         losses.append(epoch_loss / n)
+    return losses
+
+
+def train(model, data, cfg: TrainConfig) -> ExperimentResult:
+    """Minibatch Adam on mean squared error; loss recorded per epoch.
+
+    Deterministic given (cfg.seed, cfg): batch order comes from a seed
+    stream independent of data generation and init.
+    """
+    if len(data) == 0:
+        raise ValueError("training data is empty")
+    multisets = [ms for ms, _ in data]
+    targets = np.stack([t for _, t in data])
+
+    def batch_loss(tape, staged, idx):
+        preds = model.fold_batch_on_tape(staged, [multisets[i] for i in idx])
+        return mse_on_tape(tape, preds, targets[idx])
+
+    t0 = time.perf_counter()
+    losses = fit(model, batch_loss, len(data), cfg, _STREAM_SHUFFLE)
     return ExperimentResult(
         loss_curve=losses,
         wall_clock_s=time.perf_counter() - t0,
@@ -268,15 +296,17 @@ def random_search(space: SearchSpace, trials: int, base: TrainConfig,
     """Best config over seeded random draws from the space.
 
     Trial i trains with seed ``seed + i``; ties keep the first-seen
-    config. Returns (best config, list of (config, validation rmse)).
+    config. At most ``min(threads, os.cpu_count())`` worker processes run.
+    Returns (best config, list of (config, validation rmse)).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_SEARCH]))
     configs = [space.sample(base, rng, seed + i) for i in range(trials)]
     jobs = [(cfg, train_data, val_data) for cfg in configs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             scores = list(pool.map(_run_trial, jobs))
     else:
         scores = [_run_trial(j) for j in jobs]

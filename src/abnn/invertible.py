@@ -10,9 +10,11 @@ Two families:
 * :class:`CouplingFlow` for d>=2 — a stack of affine coupling layers with
   frozen random permutations in between. Inverted analytically.
 
-Both keep their weights in a flat :class:`~abnn.numcore.ParamStore` and can
-replay their forward (and inverse) passes onto a :class:`~abnn.numcore.Tape`
-for training.
+Both keep their weights in a flat :class:`~abnn.numcore.ParamStore` and
+record training batches on a :class:`~abnn.numcore.Tape` through one method
+per direction, ``forward_on_tape`` and ``inverse_on_tape``; an :class:`Mlp`
+has only the forward. Each takes a list of id rows and returns a list of
+id rows.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class Staged:
     """Bookkeeping for one ParamStore staged onto one Tape.
 
     Slot ``i`` of the store lives at tape node ``base + i``. Models cache
-    derived node ids (effective weights, per-row id tuples) here so a batch
+    derived node ids (effective weights, clamp constants) here so a batch
     pays for them once.
     """
 
@@ -46,6 +48,13 @@ class Staged:
 
     def slot(self, s: int) -> int:
         return self.base + s
+
+
+def _check_rows(batch_ids, d: int):
+    for ids in batch_ids:
+        if len(ids) != d:
+            raise ValueError(f"dimension mismatch: expected {d}, got {len(ids)}")
+    return batch_ids
 
 
 def mlp_param_count(dims) -> int:
@@ -117,10 +126,7 @@ class Mlp:
                 np.maximum(h, 0.0, out=h)
         return margin
 
-    def forward_on_tape(self, staged: Staged, x_ids):
-        return self.forward_batch_on_tape(staged, [x_ids])[0]
-
-    def forward_batch_on_tape(self, staged: Staged, batch_ids):
+    def forward_on_tape(self, staged: Staged, batch_ids):
         """The MLP on a batch of input vectors as one tape block.
 
         Values come from a numpy pass over the store (identical to the
@@ -223,8 +229,8 @@ class MonotonicNet:
     def active_units(self, x):
         """(k, j) of the unit that attains the min-max at each point.
 
-        Ties resolve to the lowest index, matching the tape's selection
-        primitives.
+        Ties resolve to the lowest index; the tape methods record this
+        unit's affine map.
         """
         x_arr = np.asarray(x, dtype=np.float64)
         units = self.effective_weights() * x_arr[..., None, None] + self.bias
@@ -233,9 +239,6 @@ class MonotonicNet:
         k_best = group_vals.argmin(axis=-1)
         j_sel = np.take_along_axis(j_best, k_best[..., None], axis=-1)[..., 0]
         return k_best, j_sel
-
-    def inverse(self, y: float) -> float:
-        return float(self.inverse_batch(y))
 
     def inverse_batch(self, ys: np.ndarray) -> np.ndarray:
         """Exact inverse at an array of targets.
@@ -311,34 +314,29 @@ class MonotonicNet:
             staged.cache[key] = ids
         return ids
 
-    def forward_on_tape(self, staged: Staged, x_id: int) -> int:
-        """Full min-max lattice on the tape."""
+    def forward_on_tape(self, staged: Staged, batch_ids):
+        """f on a batch of 1-vectors through each point's active unit only;
+        that affine map has the lattice's value and gradient."""
         tape = staged.tape
-        group_maxes = []
-        for k in range(self.k_groups):
-            units = []
-            for j in range(self.j_units):
-                w_id, b_id = self.unit_ids(staged, k, j)
-                units.append(tape.add(tape.mul(w_id, x_id), b_id))
-            group_maxes.append(tape.max_of(units))
-        return tape.min_of(group_maxes)
+        xs = [ids[0] for ids in _check_rows(batch_ids, 1)]
+        ks, js = self.active_units(np.array(tape.vals(xs)))
+        out = []
+        for x, k, j in zip(xs, ks.tolist(), js.tolist()):
+            w_id, b_id = self.unit_ids(staged, k, j)
+            out.append([tape.add(tape.mul(w_id, x), b_id)])
+        return out
 
-    def forward_active_on_tape(self, staged: Staged, x_id: int, x_val: float) -> int:
-        """Only the active unit's affine map; same value and gradient as the
-        full lattice (ties go to the lowest index in both)."""
-        k, j = self.active_units(x_val)
-        w_id, b_id = self.unit_ids(staged, int(k), int(j))
-        tape = staged.tape
-        return tape.add(tape.mul(w_id, x_id), b_id)
-
-    def inverse_on_tape(self, staged: Staged, y_id: int) -> int:
+    def inverse_on_tape(self, staged: Staged, batch_ids):
         """Differentiable inverse: solve for x in closed form, then express
         it through the active unit so gradients flow into y, w~, b, and s."""
         tape = staged.tape
-        x_val = self.inverse(tape.val(y_id))
-        k, j = self.active_units(x_val)
-        w_id, b_id = self.unit_ids(staged, int(k), int(j))
-        return tape.div(tape.sub(y_id, b_id), w_id)
+        ys = [ids[0] for ids in _check_rows(batch_ids, 1)]
+        ks, js = self.active_units(self.inverse_batch(np.array(tape.vals(ys))))
+        out = []
+        for y, k, j in zip(ys, ks.tolist(), js.tolist()):
+            w_id, b_id = self.unit_ids(staged, k, j)
+            out.append([tape.div(tape.sub(y, b_id), w_id)])
+        return out
 
 
 class CouplingFlow:
@@ -467,27 +465,15 @@ class CouplingFlow:
         neg_c, pos_c = consts
         return tape.minimum(tape.maximum(a_id, neg_c), pos_c)
 
-    def _check_rows(self, batch_ids) -> None:
-        for ids in batch_ids:
-            if len(ids) != self.d:
-                raise ValueError(f"dimension mismatch: expected {self.d}, got {len(ids)}")
-
-    def forward_on_tape(self, staged: Staged, x_ids):
-        return self.forward_batch_on_tape(staged, [x_ids])[0]
-
-    def inverse_on_tape(self, staged: Staged, y_ids):
-        return self.inverse_batch_on_tape(staged, [y_ids])[0]
-
-    def forward_batch_on_tape(self, staged: Staged, batch_ids):
+    def forward_on_tape(self, staged: Staged, batch_ids):
         """The flow on a batch of vectors; each subnet is one block per layer."""
         tape = staged.tape
-        self._check_rows(batch_ids)
-        hs = [list(ids) for ids in batch_ids]
+        hs = [list(ids) for ids in _check_rows(batch_ids, self.d)]
         for i in range(self.n_layers):
             hs = [[h[p] for p in self.perms[i]] for h in hs]
             x1s = [h[: self.split] for h in hs]
-            a_rows = self.scale_nets[i].forward_batch_on_tape(staged, x1s)
-            t_rows = self.shift_nets[i].forward_batch_on_tape(staged, x1s)
+            a_rows = self.scale_nets[i].forward_on_tape(staged, x1s)
+            t_rows = self.shift_nets[i].forward_on_tape(staged, x1s)
             hs = [
                 x1 + [tape.add(tape.mul(x2c, tape.exp(self._clamped(tape, staged, ac))), tc)
                       for x2c, ac, tc in zip(h[self.split :], a_ids, t_ids)]
@@ -495,14 +481,13 @@ class CouplingFlow:
             ]
         return hs
 
-    def inverse_batch_on_tape(self, staged: Staged, batch_ids):
+    def inverse_on_tape(self, staged: Staged, batch_ids):
         tape = staged.tape
-        self._check_rows(batch_ids)
-        hs = [list(ids) for ids in batch_ids]
+        hs = [list(ids) for ids in _check_rows(batch_ids, self.d)]
         for i in range(self.n_layers - 1, -1, -1):
             y1s = [h[: self.split] for h in hs]
-            a_rows = self.scale_nets[i].forward_batch_on_tape(staged, y1s)
-            t_rows = self.shift_nets[i].forward_batch_on_tape(staged, y1s)
+            a_rows = self.scale_nets[i].forward_on_tape(staged, y1s)
+            t_rows = self.shift_nets[i].forward_on_tape(staged, y1s)
             hs = [
                 y1 + [tape.mul(tape.sub(y2c, tc),
                                tape.exp(tape.neg(self._clamped(tape, staged, ac))))

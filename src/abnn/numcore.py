@@ -1,8 +1,10 @@
 """Reverse-mode tape, parameter store, Adam updates, and loss functions.
 
-Every trainable model in this package records its forward pass on a
-:class:`Tape` and gets exact gradients from one backward sweep. Most nodes
-are scalar primitives; a dense MLP is one vector-valued block whose
+Every trainable model in this package records a whole batch on a
+:class:`Tape` and gets exact gradients from one backward sweep. Each map
+exposes one batched tape method per direction, taking and returning a list
+of id rows. Scalar primitives carry the lattice units, coupling updates,
+combiners and losses; a dense MLP is one vector-valued block whose
 gradient is a numpy vector-Jacobian product. Frozen-parameter math
 (evaluation, inversion) bypasses the tape and uses numpy directly.
 """
@@ -160,47 +162,13 @@ class Tape:
         nodes.append((v, a, -1, v, 0.0))
         return len(nodes) - 1
 
-    def log(self, a: int) -> int:
-        nodes = self._nodes
-        va = nodes[a][0]
-        nodes.append((math.log(va), a, -1, 1.0 / va, 0.0))
-        return len(nodes) - 1
-
     def sqrt(self, a: int) -> int:
         nodes = self._nodes
         v = math.sqrt(nodes[a][0])
         nodes.append((v, a, -1, 0.5 / v if v > 0.0 else 0.0, 0.0))
         return len(nodes) - 1
 
-    def sin(self, a: int) -> int:
-        nodes = self._nodes
-        va = nodes[a][0]
-        nodes.append((math.sin(va), a, -1, math.cos(va), 0.0))
-        return len(nodes) - 1
-
-    def cos(self, a: int) -> int:
-        nodes = self._nodes
-        va = nodes[a][0]
-        nodes.append((math.cos(va), a, -1, -math.sin(va), 0.0))
-        return len(nodes) - 1
-
-    def tanh(self, a: int) -> int:
-        nodes = self._nodes
-        t = math.tanh(nodes[a][0])
-        nodes.append((t, a, -1, 1.0 - t * t, 0.0))
-        return len(nodes) - 1
-
-    def relu(self, a: int) -> int:
-        nodes = self._nodes
-        va = nodes[a][0]
-        if va > 0.0:
-            nodes.append((va, a, -1, 1.0, 0.0))
-        else:
-            nodes.append((0.0, a, -1, 0.0, 0.0))
-        return len(nodes) - 1
-
-    # Ties route the gradient to the first argument, so a left-fold over a
-    # sequence sends it to the lowest index.
+    # Ties route the gradient to the first argument.
     def maximum(self, a: int, b: int) -> int:
         nodes = self._nodes
         va = nodes[a][0]
@@ -224,8 +192,8 @@ class Tape:
     def affine(self, xs, ws, bias: int) -> int:
         """Fused ``sum(w_i * x_i) + bias`` over node ids.
 
-        One node instead of 2n; the dominant cost of MLP layers. Gradients
-        flow into the inputs, the weights, and the bias.
+        One node instead of 2n. Gradients flow into the inputs, the
+        weights, and the bias.
         """
         nodes = self._nodes
         acc = nodes[bias][0]
@@ -246,26 +214,6 @@ class Tape:
         if ids:
             self._blocks.append((ids[0], len(ids), vjp))
         return ids
-
-    # -- reductions over many nodes ----------------------------------------
-
-    def max_of(self, ids) -> int:
-        out = ids[0]
-        for a in ids[1:]:
-            out = self.maximum(out, a)
-        return out
-
-    def min_of(self, ids) -> int:
-        out = ids[0]
-        for a in ids[1:]:
-            out = self.minimum(out, a)
-        return out
-
-    def sum_of(self, ids) -> int:
-        out = ids[0]
-        for a in ids[1:]:
-            out = self.add(out, a)
-        return out
 
     def mean_of(self, ids) -> int:
         w = self.const(1.0 / len(ids))

@@ -156,7 +156,7 @@ class TestCriterion3Gradients:
                 continue
             err = self._fd_check(
                 net.store,
-                lambda tape: net.forward_on_tape(net.stage(tape), tape.const(x)),
+                lambda tape: net.forward_on_tape(net.stage(tape), [[tape.const(x)]])[0][0],
                 lambda: net.forward(x))
             assert err < 1e-4
             worst = max(worst, err)
@@ -177,9 +177,9 @@ class TestCriterion3Gradients:
 
             def tape_fn(tape):
                 staged = flow.stage(tape)
-                ids = tape.consts(x)
-                out = (flow.forward_on_tape(staged, ids) if direction == "forward"
-                       else flow.inverse_on_tape(staged, ids))
+                batch = [tape.consts(x)]
+                (out,) = (flow.forward_on_tape(staged, batch) if direction == "forward"
+                          else flow.inverse_on_tape(staged, batch))
                 return tape.affine(out, tape.consts(probe), tape.const(0.0))
 
             def np_fn():
@@ -205,7 +205,7 @@ class TestCriterion3Gradients:
 
             def tape_fn(tape):
                 staged = model.stage(tape)
-                out = model.fold_on_tape(staged, X)
+                (out,) = model.fold_batch_on_tape(staged, [X])
                 return tape.affine(out, tape.consts(probe), tape.const(0.0))
 
             err = self._fd_check(model.store, tape_fn,

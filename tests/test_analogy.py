@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from abnn import analogy
 from abnn.abelian import AbelianOp
 from abnn.analogy import (
     AnalogyExample,
@@ -17,6 +20,7 @@ from abnn.analogy import (
 )
 from abnn.harness import TrainConfig
 from abnn.invertible import CouplingFlow
+from abnn.numcore import DivergedError
 
 
 def write_embeddings(path, rows, header=None):
@@ -206,6 +210,26 @@ class TestTraining:
         cfg = TrainConfig(epochs=1, seed=9, model="agn", n_layers=2, hidden_dim=4)
         model, losses = train_analogy("wv_agn", table, [ex], cfg)
         assert losses[0] == pytest.approx(-1.0, abs=1e-9)
+
+    def test_non_finite_loss_raises_with_diagnostics(self, monkeypatch):
+        # one example per epoch; the second epoch's loss is forced to NaN
+        real = analogy.cosine_on_tape
+        calls = []
+
+        def nan_after_first(tape, v_nodes, w):
+            calls.append(1)
+            node = real(tape, v_nodes, w)
+            return node if len(calls) == 1 else tape.mul(node, tape.const(math.nan))
+
+        monkeypatch.setattr(analogy, "cosine_on_tape", nan_after_first)
+        rng = np.random.default_rng(9)
+        table = toy_table(rng, ["a", "b", "c", "d"])
+        cfg = TrainConfig(epochs=3, seed=9, model="agn", n_layers=2, hidden_dim=4)
+        with pytest.raises(DivergedError, match="non-finite loss at epoch 1") as exc:
+            train_analogy("wv_agn", table, [AnalogyExample("a", "b", "c", ["d"])], cfg)
+        assert exc.value.diagnostics["epoch"] == 1
+        curve = exc.value.diagnostics["loss_curve"]
+        assert len(curve) == 1 and math.isfinite(curve[0])
 
     def test_mlp_training_reduces_loss(self):
         table, rels, _ = build_synthetic_analogy_corpus(

@@ -74,7 +74,7 @@ class TestDeepSetsTape:
         X = rng.normal(size=(3, 2))
         tape = Tape()
         staged = model.stage(tape)
-        ids = model.fold_on_tape(staged, X)
+        (ids,) = model.fold_batch_on_tape(staged, [X])
         np.testing.assert_allclose(tape.vals(ids), model.forward(X), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -88,7 +88,7 @@ class TestDeepSetsTape:
                 continue
             tape = Tape()
             staged = model.stage(tape)
-            ids = model.fold_on_tape(staged, X)
+            (ids,) = model.fold_batch_on_tape(staged, [X])
             proj = tape.affine(ids, tape.consts(probe), tape.const(0.0))
             tape.backward(proj)
             g = model.store.grads.copy()

@@ -17,6 +17,7 @@ from abnn.checkpoint import (
     BadMagicError,
     ChecksumError,
     KindMismatchError,
+    TrailingBytesError,
     TruncatedError,
     VersionMismatchError,
     load_checkpoint,
@@ -133,6 +134,12 @@ class TestErrors:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TruncatedError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_byte(self, tmp_path):
+        path = self.make_file(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(TrailingBytesError, match="1 trailing byte"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):

@@ -93,6 +93,23 @@ class TestConfigPrecedence:
         assert run_cli("synthetic", "--task", "add", "--model", "agn",
                        "--config", str(cfg_file)) == 2
 
+    @pytest.mark.parametrize("body,why", [
+        ("{not json", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object, not list"),
+        ('{"epochs": "3"}', "epochs must be int, got str"),
+        ('{"epochs": true}', "epochs must be int, got bool"),
+        ('{"lr": 0}', "lr must be > 0"),
+        ('{"hidden_dim": 0}', "hidden_dim must be >= 1"),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, body, why):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(body)
+        assert run_cli("synthetic", "--task", "add", "--model", "agn",
+                       "--config", str(cfg_file), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and why in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSearch:
     def test_tiny_search(self, tmp_path):
@@ -197,6 +214,14 @@ class TestAnalogy:
                        "--relations", str(rels), "--kind", "wv")
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_bad_config_seed_exits_2(self, analogy_files, tmp_path, capsys):
+        emb, rels = analogy_files
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text('{"seed": "2"}')
+        assert run_cli("analogy-eval", "--embeddings", str(emb), "--relations",
+                       str(rels), "--kind", "wv", "--config", str(cfg_file)) == 2
+        assert "error: invalid config: seed must be int" in capsys.readouterr().err
 
     def test_wv_train_rejected(self, analogy_files):
         emb, rels = analogy_files

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from abnn import harness
 from abnn.algebra import CanonicalForm, SymPoly2, classify
 from abnn.harness import (
     TASKS,
@@ -137,6 +138,28 @@ class TestTrain:
         assert "loss_curve" in exc.value.diagnostics
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name,value,error", [
+        ("epochs", 2.0, TypeError),
+        ("batch_size", True, TypeError),
+        ("model", 1, TypeError),
+        ("lr", "0.1", TypeError),
+        ("lr", 0.0, ValueError),
+        ("lr", math.nan, ValueError),
+        ("epochs", -1, ValueError),
+        ("seed", -1, ValueError),
+        ("k_groups", 0, ValueError),
+        ("middle_dim", 0, ValueError),
+    ])
+    def test_rejects_bad_values(self, name, value, error):
+        with pytest.raises(error, match=name):
+            TrainConfig(**{name: value})
+
+    def test_accepts_numpy_numbers_and_int_rates(self):
+        cfg = TrainConfig(seed=np.int64(3), lr=1, weight_decay=np.float64(0.5))
+        assert (cfg.seed, cfg.lr, cfg.weight_decay) == (3, 1, 0.5)
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         task = TASKS["add"]
@@ -200,6 +223,33 @@ class TestRandomSearch:
         assert b1 == b2
         assert [(c.k_groups, c.j_units, s) for c, s in l1] == \
                [(c.k_groups, c.j_units, s) for c, s in l2]
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Executor stand-in: records its size, runs the trials here."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        train_data, val_data = self.make_data()
+        base = TrainConfig(epochs=1, seed=0)
+        for cpus in (2, None):
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+            random_search(SearchSpace("agn"), 2, base, train_data, val_data,
+                          seed=500, threads=64)
+        assert sizes == [2]  # unknown cpu count runs in process
 
 
 class TestResultsExport:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abnn.abelian import map_forward, map_inverse
 from abnn.invertible import CouplingFlow, InversionError, Mlp, MonotonicNet
 from abnn.numcore import ParamStore, Tape
 
@@ -62,11 +63,11 @@ class TestMonotonicForward:
 class TestMonotonicInverse:
     def test_identity_configuration(self):
         net = make_mono([[0.0]], [[0.0]])
-        assert net.inverse(7.0) == pytest.approx(7.0, abs=1e-10)
+        assert net.inverse_batch(7.0) == pytest.approx(7.0, abs=1e-10)
 
     def test_piecewise_analytic(self):
         net = make_mono([[math.log(2.0)], [0.0]], [[0.0], [3.0]])
-        assert net.inverse(8.0) == pytest.approx(5.0, abs=1e-10)
+        assert net.inverse_batch(8.0) == pytest.approx(5.0, abs=1e-10)
 
     def test_round_trip_1000_points(self):
         rng = np.random.default_rng(7)
@@ -103,17 +104,17 @@ class TestMonotonicInverse:
         net = make_mono([[-700.0]], [[0.0]])  # slope ~1e-304: 1e10 maps past 1e308
         for y in (1e10, np.nan, np.inf):
             with pytest.raises(InversionError, match="inversion out of range"):
-                net.inverse(y)
+                net.inverse_batch(y)
 
     def test_degenerate_sign_is_an_error(self):
         net = make_mono([[0.0]], [[0.0]], s=0.0)
         with pytest.raises(InversionError, match="inversion out of range"):
-            net.inverse(1.0)
+            net.inverse_batch(1.0)
 
     def test_flat_net_is_an_error(self):
         net = make_mono([[-800.0]], [[0.5]])  # slope underflows to 0
         with pytest.raises(InversionError, match="inversion out of range"):
-            net.inverse(3.0)
+            net.inverse_batch(3.0)
 
 
 class TestMonotonicSlopes:
@@ -139,30 +140,12 @@ class TestMonotonicTape:
     def test_tape_forward_matches_numpy(self):
         rng = np.random.default_rng(10)
         net = MonotonicNet.initialized(3, 4, rng)
-        for x in rng.uniform(-8, 8, size=20):
-            tape = Tape()
-            staged = net.stage(tape)
-            out = net.forward_on_tape(staged, tape.const(x))
-            assert tape.val(out) == pytest.approx(net.forward(float(x)), abs=1e-12)
-
-    def test_active_path_matches_full_lattice(self):
-        rng = np.random.default_rng(11)
-        net = MonotonicNet.initialized(3, 3, rng)
-        for x in rng.uniform(-8, 8, size=20):
-            tape1 = Tape()
-            staged1 = net.stage(tape1)
-            out1 = net.forward_on_tape(staged1, tape1.const(x))
-            tape1.backward(out1)
-            g_full = net.store.grads.copy()
-            net.store.zero_grads()
-
-            tape2 = Tape()
-            staged2 = net.stage(tape2)
-            out2 = net.forward_active_on_tape(staged2, tape2.const(x), float(x))
-            assert tape2.val(out2) == tape1.val(out1)
-            tape2.backward(out2)
-            assert np.array_equal(net.store.grads, g_full)
-            net.store.zero_grads()
+        xs = rng.uniform(-8, 8, size=20)
+        tape = Tape()
+        staged = net.stage(tape)
+        outs = net.forward_on_tape(staged, [[tape.const(x)] for x in xs])
+        got = [tape.val(out) for (out,) in outs]
+        np.testing.assert_allclose(got, net.forward(xs), rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -182,7 +165,7 @@ class TestMonotonicTape:
                 continue  # near a selection tie; finite differences would straddle it
             tape = Tape()
             staged = net.stage(tape)
-            out = net.forward_on_tape(staged, tape.const(x))
+            ((out,),) = net.forward_on_tape(staged, [[tape.const(x)]])
             tape.backward(out)
             g = net.store.grads.copy()
             net.store.zero_grads()
@@ -205,7 +188,7 @@ class TestMonotonicTape:
         y = 1.7
         tape = Tape()
         staged = net.stage(tape)
-        out = net.inverse_on_tape(staged, tape.const(y))
+        ((out,),) = net.inverse_on_tape(staged, [[tape.const(y)]])
         assert net.forward(tape.val(out)) == pytest.approx(y, abs=1e-9)
         tape.backward(out)
         g = net.store.grads.copy()
@@ -215,7 +198,7 @@ class TestMonotonicTape:
 
         def f(theta):
             net.store.values[:] = theta
-            x = net.inverse(y)
+            x = float(net.inverse_batch(y))
             net.store.values[:] = theta0
             return x
 
@@ -305,7 +288,7 @@ class TestCouplingTape:
         x = rng.normal(size=4)
         tape = Tape()
         staged = flow.stage(tape)
-        out_ids = flow.forward_on_tape(staged, tape.consts(x))
+        (out_ids,) = flow.forward_on_tape(staged, [tape.consts(x)])
         np.testing.assert_allclose(tape.vals(out_ids), flow.forward(x), rtol=1e-12)
 
     def test_tape_inverse_matches_numpy(self):
@@ -314,32 +297,40 @@ class TestCouplingTape:
         y = rng.normal(size=4)
         tape = Tape()
         staged = flow.stage(tape)
-        out_ids = flow.inverse_on_tape(staged, tape.consts(y))
+        (out_ids,) = flow.inverse_on_tape(staged, [tape.consts(y)])
         np.testing.assert_allclose(tape.vals(out_ids), flow.inverse(y), rtol=1e-12)
 
-    @pytest.mark.parametrize("direction", ["forward", "inverse"])
-    def test_batch_matches_row_by_row(self, direction):
+    # the flow cases are named by direction alone
+    @pytest.mark.parametrize("kind,direction", [
+        pytest.param("flow", "forward", id="forward"),
+        pytest.param("flow", "inverse", id="inverse"),
+        pytest.param("mono", "forward", id="mono-forward"),
+        pytest.param("mono", "inverse", id="mono-inverse"),
+    ])
+    def test_batch_matches_row_by_row(self, kind, direction):
         rng = np.random.default_rng(33)
-        flow = CouplingFlow(4, 3, 8, rng, init="random")
-        xs = rng.normal(size=(5, 4))
-        probe = rng.normal(size=(5, 4))
+        net = (CouplingFlow(4, 3, 8, rng, init="random") if kind == "flow"
+               else MonotonicNet.initialized(3, 3, rng))
+        xs = rng.normal(size=(5, net.d))
+        probe = rng.normal(size=(5, net.d))
 
         def run(rows):
             tape = Tape()
-            staged = flow.stage(tape)
+            staged = net.stage(tape)
             batch = [tape.consts(x) for x in xs[rows]]
-            outs = (flow.forward_batch_on_tape(staged, batch) if direction == "forward"
-                    else flow.inverse_batch_on_tape(staged, batch))
+            outs = (net.forward_on_tape(staged, batch) if direction == "forward"
+                    else net.inverse_on_tape(staged, batch))
             projs = [tape.affine(o, tape.consts(p), tape.const(0.0))
                      for o, p in zip(outs, probe[rows])]
-            tape.backward(tape.sum_of(projs))
-            grads = flow.store.grads.copy()
-            flow.store.zero_grads()
+            tape.backward(tape.affine(projs, tape.consts(np.ones(len(projs))),
+                                      tape.const(0.0)))
+            grads = net.store.grads.copy()
+            net.store.zero_grads()
             return np.array([tape.vals(o) for o in outs]), grads
 
         vals, grads = run(slice(None))
         single = [run(slice(i, i + 1)) for i in range(len(xs))]
-        want = flow.forward(xs) if direction == "forward" else flow.inverse(xs)
+        want = map_forward(net, xs) if direction == "forward" else map_inverse(net, xs)
         np.testing.assert_allclose(vals, want, rtol=1e-12)
         np.testing.assert_allclose(grads, sum(g for _, g in single), rtol=1e-12, atol=1e-14)
 
@@ -356,9 +347,9 @@ class TestCouplingTape:
 
             tape = Tape()
             staged = flow.stage(tape)
-            ids = tape.consts(x)
-            out = (flow.forward_on_tape(staged, ids) if direction == "forward"
-                   else flow.inverse_on_tape(staged, ids))
+            batch = [tape.consts(x)]
+            (out,) = (flow.forward_on_tape(staged, batch) if direction == "forward"
+                      else flow.inverse_on_tape(staged, batch))
             # scalar projection so there is one output to differentiate
             proj = tape.affine(out, tape.consts(probe), tape.const(0.0))
             tape.backward(proj)
