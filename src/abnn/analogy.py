@@ -17,7 +17,7 @@ import numpy as np
 
 from .abelian import AbelianOp
 from .harness import TrainConfig, fit
-from .invertible import CouplingFlow, Mlp
+from .invertible import CouplingFlow, Mlp, stack_param_count
 # adam_step is not called here (harness.fit runs the updates); the name stays
 # because the benchmark in perfbench/ traces abnn.analogy:adam_step
 from .numcore import ParamStore, Tape, adam_step, cosine_on_tape  # noqa: F401
@@ -214,10 +214,13 @@ class MlpModel:
         self.n_layers = n_layers
         self.hidden_dim = hidden_dim
         dims = [d] + [hidden_dim] * (n_layers - 1) + [d]
-        from .invertible import mlp_param_count
-
-        self.store = ParamStore(mlp_param_count(dims))
+        self.store = ParamStore(self.param_count(d, n_layers, hidden_dim))
         self.net = Mlp(self.store, 0, dims, rng)
+
+    @staticmethod
+    def param_count(d: int, n_layers: int, hidden_dim: int) -> int:
+        """Store size of a model with this structure; ``__init__`` allocates it."""
+        return stack_param_count(d, hidden_dim, n_layers, d)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net.forward_np(x)
@@ -261,6 +264,21 @@ def build_analogy_model(kind: str, d: int, cfg: TrainConfig):
     raise ValueError(f"kind {kind!r} has no trainable model")
 
 
+def _offset_on_tape(tape: Tape, pbac):
+    """``phi(b) - phi(a) + phi(c)`` for each (b, a, c) triple of rows, as one
+    block over the rows of a single flow block (one contiguous id range)."""
+    span = range(pbac[0][0], pbac[-1][-1] + 1)
+    n, d = len(pbac) // 3, len(pbac[0])
+    v = np.asarray(tape.vals(span)).reshape(n, 3, d)
+    signs = np.array([1.0, -1.0, 1.0])[:, None]
+
+    def vjp(g):
+        return [(span, (g.reshape(n, 1, d) * signs).ravel())]
+
+    ids = tape.block((v[:, 0] - v[:, 1] + v[:, 2]).ravel(), vjp)
+    return [ids[r * d : (r + 1) * d] for r in range(n)]
+
+
 def train_analogy(kind: str, table: EmbeddingTable, train_examples,
                   cfg: TrainConfig | None = None):
     """Adam on mean negative cosine between f(a,b,c) and the first answer."""
@@ -282,14 +300,12 @@ def train_analogy(kind: str, table: EmbeddingTable, train_examples,
                 staged, [tape.consts(B[i] - A[i] + C[i]) for i in idx])
         else:
             phi = model.phi
+            bac = tape.consts(np.stack([B[idx], A[idx], C[idx]], axis=1))
+            d = table.dim
             pbac = phi.forward_on_tape(
-                staged, [tape.consts(v[i]) for i in idx for v in (B, A, C)])
-            outs = phi.inverse_on_tape(staged, [
-                [tape.add(tape.sub(vb, va), vc)
-                 for vb, va, vc in zip(*pbac[3 * r : 3 * r + 3])]
-                for r in range(len(idx))])
-        return tape.mean_of([tape.neg(cosine_on_tape(tape, out, D[i]))
-                             for out, i in zip(outs, idx)])
+                staged, [bac[r : r + d] for r in range(0, len(bac), d)])
+            outs = phi.inverse_on_tape(staged, _offset_on_tape(tape, pbac))
+        return tape.neg(cosine_on_tape(tape, outs, D[idx]))
 
     return model, fit(model, batch_loss, len(train_examples), cfg, stream=12)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .abelian import EmptyMultisetError, require_finite
-from .invertible import Mlp, Staged
+from .invertible import Mlp, Staged, stack_param_count
 from .numcore import ParamStore, Tape
 
 __all__ = ["DeepSetsModel"]
@@ -34,12 +34,15 @@ class DeepSetsModel:
         self.middle_dim = middle_dim
         inner_dims = [d] + [hidden_dim] * (n_layers - 1) + [middle_dim]
         outer_dims = [middle_dim] + [hidden_dim] * (n_layers - 1) + [d]
-        from .invertible import mlp_param_count
-
-        inner_size = mlp_param_count(inner_dims)
-        self.store = ParamStore(inner_size + mlp_param_count(outer_dims))
+        self.store = ParamStore(self.param_count(d, n_layers, hidden_dim, middle_dim))
         self.inner = Mlp(self.store, 0, inner_dims, rng)
-        self.outer = Mlp(self.store, inner_size, outer_dims, rng)
+        self.outer = Mlp(self.store, self.inner.size, outer_dims, rng)
+
+    @staticmethod
+    def param_count(d: int, n_layers: int, hidden_dim: int, middle_dim: int) -> int:
+        """Store size of a model with this structure; ``__init__`` allocates it."""
+        return (stack_param_count(d, hidden_dim, n_layers, middle_dim)
+                + stack_param_count(middle_dim, hidden_dim, n_layers, d))
 
     def _canonical(self, X: np.ndarray) -> np.ndarray:
         """Multiset rows sorted lexicographically; fixes the summation order."""

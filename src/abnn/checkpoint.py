@@ -10,9 +10,13 @@ Layout (all integers little endian)::
     crc32   u32 over every preceding byte
 
 Parameters round-trip bit for bit; any flipped byte fails the checksum
-rather than loading silently. Model families register a header writer and
-a builder under their ``kind`` string; builders ignore header keys they do
-not read, so older version-1 files with retired keys still load.
+rather than loading silently. Model families register a header writer, a
+builder and a parameter count under their ``kind`` string; builders ignore
+header keys they do not read, so older version-1 files with retired keys
+still load. The count is checked against the file before anything is
+built, so a forged header cannot trigger a huge allocation, and a header
+the builder rejects (say, flow ``perms`` that are not permutations) is a
+:class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -75,10 +79,11 @@ class KindMismatchError(CheckpointError):
 _REGISTRY: dict[str, tuple] = {}
 
 
-def register_model_kind(kind: str, to_header, from_header) -> None:
+def register_model_kind(kind: str, to_header, from_header, param_count) -> None:
     """``to_header(model) -> dict``; ``from_header(dict) -> model`` with a
-    correctly sized ParamStore (values get overwritten after)."""
-    _REGISTRY[kind] = (to_header, from_header)
+    correctly sized ParamStore (values get overwritten after);
+    ``param_count(dict) -> int`` is that size, computed without building."""
+    _REGISTRY[kind] = (to_header, from_header, param_count)
 
 
 def _mono_op_header(op: AbelianOp) -> dict:
@@ -131,18 +136,29 @@ def _mlp_build(h: dict):
     return MlpModel(h["d"], h["n_layers"], h["hidden_dim"], np.random.default_rng(0))
 
 
+def _mlp_count(h: dict) -> int:
+    from .analogy import MlpModel
+
+    return MlpModel.param_count(h["d"], h["n_layers"], h["hidden_dim"])
+
+
 for _tag in ("agn", "asn"):
-    register_model_kind(f"{_tag}-mono", _mono_op_header, _mono_op_build)
-    register_model_kind(f"{_tag}-flow", _flow_op_header, _flow_op_build)
-register_model_kind("deepsets", _deepsets_header, _deepsets_build)
-register_model_kind("mlp", _mlp_header, _mlp_build)
+    register_model_kind(f"{_tag}-mono", _mono_op_header, _mono_op_build,
+                        lambda h: MonotonicNet.param_count(h["k_groups"], h["j_units"]))
+    register_model_kind(f"{_tag}-flow", _flow_op_header, _flow_op_build,
+                        lambda h: CouplingFlow.param_count(h["d"], h["n_layers"],
+                                                           h["hidden_dim"]))
+register_model_kind("deepsets", _deepsets_header, _deepsets_build,
+                    lambda h: DeepSetsModel.param_count(h["d"], h["n_layers"],
+                                                        h["hidden_dim"], h["middle_dim"]))
+register_model_kind("mlp", _mlp_header, _mlp_build, _mlp_count)
 
 
 def save_checkpoint(model, path) -> None:
     kind = model.kind
     if kind not in _REGISTRY:
         raise CheckpointError(f"no checkpoint support registered for kind {kind!r}")
-    to_header, _ = _REGISTRY[kind]
+    to_header = _REGISTRY[kind][0]
     header = json.dumps(to_header(model), sort_keys=True,
                         separators=(",", ":")).encode()
     kind_b = kind.encode()
@@ -202,12 +218,16 @@ def load_checkpoint(path, expected_kind: str | None = None):
             f"model kind mismatch: file holds {kind!r}, expected {expected_kind!r}")
     if kind not in _REGISTRY:
         raise CheckpointError(f"unknown model kind {kind!r}")
-    header = json.loads(header_raw.decode())
-    _, from_header = _REGISTRY[kind]
-    model = from_header(header)
-    if len(model.store.values) != count:
-        raise CheckpointError(
-            f"parameter count {count} does not match structure "
-            f"({len(model.store.values)} expected)")
+    _, from_header, param_count = _REGISTRY[kind]
+    try:
+        header = json.loads(header_raw.decode())
+        expected = param_count(header)
+        if expected != count:
+            raise CheckpointError(
+                f"parameter count {count} does not match structure "
+                f"({expected} expected)")
+        model = from_header(header)
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"invalid {kind!r} header: {err}") from err
     model.store.values[:] = np.frombuffer(raw, dtype="<f8")
     return model

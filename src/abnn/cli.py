@@ -50,11 +50,13 @@ def _load_config_file(parser, path):
         return {}
     if not os.path.exists(path):
         _fail(parser, f"config file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
-            _fail(parser, f"config file {path} is not valid JSON: {err}")
+    except OSError as err:  # a directory, no read permission
+        _fail(parser, f"cannot read config file {path}: {err.strerror}")
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        _fail(parser, f"config file {path} is not valid JSON: {err}")
     if not isinstance(data, dict):
         _fail(parser, f"config file {path} must hold a JSON object, "
                       f"not {type(data).__name__}")

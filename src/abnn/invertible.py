@@ -14,7 +14,9 @@ Both keep their weights in a flat :class:`~abnn.numcore.ParamStore` and
 record training batches on a :class:`~abnn.numcore.Tape` through one method
 per direction, ``forward_on_tape`` and ``inverse_on_tape``; an :class:`Mlp`
 has only the forward. Each takes a list of id rows and returns a list of
-id rows.
+id rows. An MLP batch and a whole flow pass are each one tape block with a
+numpy vector-Jacobian product; the monotone net records scalar nodes
+through each point's active unit.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ class InversionError(RuntimeError):
 class Staged:
     """Bookkeeping for one ParamStore staged onto one Tape.
 
-    Slot ``i`` of the store lives at tape node ``base + i``. Models cache
-    derived node ids (effective weights, clamp constants) here so a batch
-    pays for them once.
+    Slot ``i`` of the store lives at tape node ``base + i``. The monotone
+    net caches derived node ids (its units' effective weights) here so a
+    batch pays for them once.
     """
 
     def __init__(self, tape: Tape, base: int):
@@ -61,6 +63,14 @@ def mlp_param_count(dims) -> int:
     return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
 
 
+def stack_param_count(n_in: int, width: int, n_layers: int, n_out: int) -> int:
+    """``mlp_param_count([n_in] + [width] * (n_layers - 1) + [n_out])`` in
+    closed form, so checking a checkpoint header allocates nothing."""
+    if n_layers == 1:
+        return n_out * (n_in + 1)
+    return width * (n_in + 1) + (n_layers - 2) * width * (width + 1) + n_out * (width + 1)
+
+
 class Mlp:
     """Feedforward block (ReLU hidden, linear output) slotted into a shared store.
 
@@ -72,6 +82,7 @@ class Mlp:
     def __init__(self, store: ParamStore, base: int, dims, rng, zero_last=False,
                  scale=1.0, last_scale=1.0):
         self.store = store
+        self.base = base
         self.dims = list(dims)
         self._layers = []  # (w_start, b_start, n_out, n_in, is_last)
         s = base
@@ -126,16 +137,13 @@ class Mlp:
                 np.maximum(h, 0.0, out=h)
         return margin
 
-    def forward_on_tape(self, staged: Staged, batch_ids):
-        """The MLP on a batch of input vectors as one tape block.
+    def forward_with_vjp(self, h: np.ndarray):
+        """The MLP on a batch of rows and its vector-Jacobian product.
 
-        Values come from a numpy pass over the store (identical to the
-        staged leaves within a step); backward is the matching numpy
-        vector-Jacobian product into the inputs and the staged weights.
+        Returns ``(out, vjp)``; ``vjp(g)`` maps the adjoint of ``out`` to
+        ``(param_grads, input_grads)``, the first over this block's
+        ``size`` slots in store order.
         """
-        tape = staged.tape
-        flat_in = [x for ids in batch_ids for x in ids]
-        h = np.asarray(tape.vals(flat_in)).reshape(len(batch_ids), self.dims[0])
         weights, acts, masks = [], [], []
         for i in range(len(self._layers)):
             w = self.weight(i).copy()
@@ -145,12 +153,10 @@ class Mlp:
             if not self._layers[i][4]:
                 masks.append(h > 0.0)
                 np.maximum(h, 0.0, out=h)
-        first = self._layers[0][0]
-        params = range(staged.base + first, staged.base + first + self.size)
+        first = self.base
 
         def vjp(g):
-            g = g.reshape(h.shape)
-            grads = np.empty(len(params))
+            grads = np.empty(self.size)
             for i in range(len(self._layers) - 1, -1, -1):
                 w_start, b_start, n_out, _, last = self._layers[i]
                 if not last:
@@ -158,9 +164,28 @@ class Mlp:
                 grads[w_start - first : b_start - first] = (g.T @ acts[i]).ravel()
                 grads[b_start - first : b_start - first + n_out] = g.sum(axis=0)
                 g = g @ weights[i]
-            return [(params, grads), (flat_in, g.ravel())]
+            return grads, g
 
-        ids = tape.block(h.ravel(), vjp)
+        return h, vjp
+
+    def forward_on_tape(self, staged: Staged, batch_ids):
+        """The MLP on a batch of input vectors as one tape block.
+
+        Values come from a numpy pass over the store (identical to the
+        staged leaves within a step); backward is the matching numpy
+        vector-Jacobian product into the inputs and the staged weights.
+        """
+        tape = staged.tape
+        flat_in = [x for ids in batch_ids for x in ids]
+        out, mlp_vjp = self.forward_with_vjp(
+            np.asarray(tape.vals(flat_in)).reshape(len(batch_ids), self.dims[0]))
+        params = range(staged.base + self.base, staged.base + self.base + self.size)
+
+        def vjp(g):
+            grads, g_in = mlp_vjp(g.reshape(out.shape))
+            return [(params, grads), (flat_in, g_in.ravel())]
+
+        ids = tape.block(out.ravel(), vjp)
         n_out = self.dims[-1]
         return [ids[r * n_out : (r + 1) * n_out] for r in range(len(batch_ids))]
 
@@ -181,8 +206,13 @@ class MonotonicNet:
         self.k_groups = k_groups
         self.j_units = j_units
         self.d = 1
-        n = k_groups * j_units
-        self.store = store if store is not None else ParamStore(2 * n + 1)
+        self.store = (store if store is not None
+                      else ParamStore(self.param_count(k_groups, j_units)))
+
+    @staticmethod
+    def param_count(k_groups: int, j_units: int) -> int:
+        """Store size of a net with this structure: [w~ (K*J), b (K*J), s]."""
+        return 2 * k_groups * j_units + 1
 
     @classmethod
     def initialized(cls, k_groups: int, j_units: int, rng) -> "MonotonicNet":
@@ -363,16 +393,19 @@ class CouplingFlow:
         self.hidden_dim = hidden_dim
         self.clamp = float(clamp)
         self.split = d // 2
-        k, m = self.split, d - self.split
-        dims = [k, hidden_dim, hidden_dim, m]
+        dims = [self.split, hidden_dim, hidden_dim, d - self.split]
         per_subnet = mlp_param_count(dims)
-        self.store = ParamStore(2 * per_subnet * n_layers)
         if permutations is None:
-            self.perms = [rng.permutation(d) for _ in range(n_layers)]
+            perms = [rng.permutation(d) for _ in range(n_layers)]
         else:
             if len(permutations) != n_layers:
                 raise ValueError("one permutation per layer required")
-            self.perms = [np.asarray(p, dtype=np.int64) for p in permutations]
+            perms = [np.asarray(p, dtype=np.int64) for p in permutations]
+            for p in perms:
+                if p.shape != (d,) or not np.array_equal(np.sort(p), np.arange(d)):
+                    raise ValueError(f"not a permutation of range({d}): {p.tolist()}")
+        self.perms = perms
+        self.store = ParamStore(self.param_count(d, n_layers, hidden_dim))
         self.inv_perms = [np.argsort(p) for p in self.perms]
         # near_identity zeroes the last subnet layer so every coupling starts
         # as the identity; random keeps the map invertible but well enough
@@ -392,6 +425,11 @@ class CouplingFlow:
                     scale=subnet_scale, last_scale=last_scale))
             base += per_subnet
 
+    @staticmethod
+    def param_count(d: int, n_layers: int, hidden_dim: int) -> int:
+        """Store size of a flow with this structure; ``__init__`` allocates it."""
+        return 2 * n_layers * stack_param_count(d // 2, hidden_dim, 3, d - d // 2)
+
     # -- frozen-parameter evaluation ----------------------------------------
 
     def _check_dim(self, x: np.ndarray):
@@ -401,25 +439,49 @@ class CouplingFlow:
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._check_dim(x)
-        h = x
-        for i in range(self.n_layers):
-            h = h[..., self.perms[i]]
-            x1, x2 = h[..., : self.split], h[..., self.split :]
-            a = np.clip(self.scale_nets[i].forward_np(x1), -self.clamp, self.clamp)
-            y2 = x2 * np.exp(a) + self.shift_nets[i].forward_np(x1)
-            h = np.concatenate([x1, y2], axis=-1)
-        return h
+        return self._run(x, inverse=False)
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         self._check_dim(y)
-        h = y
-        for i in range(self.n_layers - 1, -1, -1):
-            y1, y2 = h[..., : self.split], h[..., self.split :]
-            a = np.clip(self.scale_nets[i].forward_np(y1), -self.clamp, self.clamp)
-            x2 = (y2 - self.shift_nets[i].forward_np(y1)) * np.exp(-a)
-            h = np.concatenate([y1, x2], axis=-1)
-            h = h[..., self.inv_perms[i]]
+        return self._run(y, inverse=True)
+
+    def _run(self, h: np.ndarray, inverse: bool, tape_layers=None) -> np.ndarray:
+        """The layers on rows ``h`` of shape (..., d), last to first for the
+        inverse; the one place the coupling update is written.
+
+        Forward, layer i permutes and maps ``x2 -> x2 * exp(a) + t``; the
+        inverse maps ``y2 -> (y2 - t) * exp(-a)`` and un-permutes, with
+        ``a = clamp(s(h1))`` and ``t = t(h1)`` from the pass-through half h1.
+        Given a list ``tape_layers``, each layer appends what its
+        vector-Jacobian product needs (see ``_on_tape``).
+        """
+        c = self.clamp
+        for i in (range(self.n_layers - 1, -1, -1) if inverse else range(self.n_layers)):
+            if not inverse:
+                h = h[..., self.perms[i]]
+            h1, h2 = h[..., : self.split], h[..., self.split :]
+            if tape_layers is None:
+                a = self.scale_nets[i].forward_np(h1)
+                t = self.shift_nets[i].forward_np(h1)
+            else:
+                a, vjp_s = self.scale_nets[i].forward_with_vjp(h1)
+                t, vjp_t = self.shift_nets[i].forward_with_vjp(h1)
+            if inverse:
+                u = h2 - t
+                e = np.exp(-np.clip(a, -c, c))
+                out = u * e
+            else:
+                u = h2
+                e = np.exp(np.clip(a, -c, c))
+                out = u * e + t
+            if tape_layers is not None:
+                # the gradient passes the clamp where a is inside it; ties
+                # at +-clamp count as inside
+                tape_layers.append((i, u, e, (a >= -c) & (a <= c), vjp_s, vjp_t))
+            h = np.concatenate([h1, out], axis=-1)
+            if inverse:
+                h = h[..., self.inv_perms[i]]
         return h
 
     def selection_margin(self, x: np.ndarray, direction: str = "forward") -> float:
@@ -456,43 +518,52 @@ class CouplingFlow:
     def stage(self, tape: Tape) -> Staged:
         return Staged(tape, tape.stage_params(self.store))
 
-    def _clamped(self, tape: Tape, staged: Staged, a_id: int) -> int:
-        key = (id(self), "clamp_consts")
-        consts = staged.cache.get(key)
-        if consts is None:
-            consts = (tape.const(-self.clamp), tape.const(self.clamp))
-            staged.cache[key] = consts
-        neg_c, pos_c = consts
-        return tape.minimum(tape.maximum(a_id, neg_c), pos_c)
+    def _on_tape(self, staged: Staged, batch_ids, inverse: bool):
+        """A whole pass over a batch as one tape block.
+
+        The vector-Jacobian product walks the layers back in numpy and
+        returns one gradient for the flow's parameter range and one for
+        the inputs.
+        """
+        tape = staged.tape
+        flat_in = [x for ids in _check_rows(batch_ids, self.d) for x in ids]
+        layers = []
+        out = self._run(np.asarray(tape.vals(flat_in)).reshape(len(batch_ids), self.d),
+                        inverse, layers)
+        params = range(staged.base, staged.base + len(self.store))
+        k = self.split
+
+        def vjp(g):
+            g = g.reshape(out.shape)
+            grads = np.empty(len(params))
+            for i, u, e, mask, vjp_s, vjp_t in reversed(layers):
+                if inverse:
+                    g = g[:, self.perms[i]]
+                g1, g2 = g[:, :k], g[:, k:]
+                g_in2 = g2 * e
+                g_a = g2 * u * e * mask
+                if inverse:  # d/da of u * exp(-a) and d/dt of (h2 - t) * e
+                    g_a, g_t = -g_a, -g_in2
+                else:
+                    g_t = g2
+                for net, vjp_net, g_net in ((self.scale_nets[i], vjp_s, g_a),
+                                            (self.shift_nets[i], vjp_t, g_t)):
+                    p_grads, g_h1 = vjp_net(g_net)
+                    grads[net.base : net.base + net.size] = p_grads
+                    g1 = g1 + g_h1
+                g = np.concatenate([g1, g_in2], axis=1)
+                if not inverse:
+                    g = g[:, self.inv_perms[i]]
+            return [(params, grads), (flat_in, g.ravel())]
+
+        ids = tape.block(out.ravel(), vjp)
+        d = self.d
+        return [ids[r * d : (r + 1) * d] for r in range(len(batch_ids))]
 
     def forward_on_tape(self, staged: Staged, batch_ids):
-        """The flow on a batch of vectors; each subnet is one block per layer."""
-        tape = staged.tape
-        hs = [list(ids) for ids in _check_rows(batch_ids, self.d)]
-        for i in range(self.n_layers):
-            hs = [[h[p] for p in self.perms[i]] for h in hs]
-            x1s = [h[: self.split] for h in hs]
-            a_rows = self.scale_nets[i].forward_on_tape(staged, x1s)
-            t_rows = self.shift_nets[i].forward_on_tape(staged, x1s)
-            hs = [
-                x1 + [tape.add(tape.mul(x2c, tape.exp(self._clamped(tape, staged, ac))), tc)
-                      for x2c, ac, tc in zip(h[self.split :], a_ids, t_ids)]
-                for h, x1, a_ids, t_ids in zip(hs, x1s, a_rows, t_rows)
-            ]
-        return hs
+        """The flow on a batch of vectors as one tape block."""
+        return self._on_tape(staged, batch_ids, inverse=False)
 
     def inverse_on_tape(self, staged: Staged, batch_ids):
-        tape = staged.tape
-        hs = [list(ids) for ids in _check_rows(batch_ids, self.d)]
-        for i in range(self.n_layers - 1, -1, -1):
-            y1s = [h[: self.split] for h in hs]
-            a_rows = self.scale_nets[i].forward_on_tape(staged, y1s)
-            t_rows = self.shift_nets[i].forward_on_tape(staged, y1s)
-            hs = [
-                y1 + [tape.mul(tape.sub(y2c, tc),
-                               tape.exp(tape.neg(self._clamped(tape, staged, ac))))
-                      for y2c, ac, tc in zip(h[self.split :], a_ids, t_ids)]
-                for h, y1, a_ids, t_ids in zip(hs, y1s, a_rows, t_rows)
-            ]
-            hs = [[h[p] for p in self.inv_perms[i]] for h in hs]
-        return hs
+        """The inverse flow on a batch of vectors as one tape block."""
+        return self._on_tape(staged, batch_ids, inverse=True)

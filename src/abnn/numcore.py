@@ -3,15 +3,17 @@
 Every trainable model in this package records a whole batch on a
 :class:`Tape` and gets exact gradients from one backward sweep. Each map
 exposes one batched tape method per direction, taking and returning a list
-of id rows. Scalar primitives carry the lattice units, coupling updates,
-combiners and losses; a dense MLP is one vector-valued block whose
-gradient is a numpy vector-Jacobian product. Frozen-parameter math
+of id rows. A dense MLP batch, a coupling-flow pass and the batch cosine
+loss are each one vector-valued block whose gradient is a numpy
+vector-Jacobian product; scalar primitives still carry the monotone
+lattice units, the combiners and the MSE loss. Frozen-parameter math
 (evaluation, inversion) bypasses the tape and uses numpy directly.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -67,8 +69,9 @@ class ParamStore:
 #   binary     : (v, a,  b, da, db)
 #   affine     : (v, xs, ws, bias_id, None)   -- fused dot product + bias;
 #                xs/ws are tuples of node ids, db=None marks the layout.
-# A block's outputs are leaves; the block's vector-Jacobian product runs
-# once the sweep has passed all of them (see ``block``).
+# The leaves of one ``consts`` call form a run that the scalar sweep skips.
+# A block's outputs are such a run; the block's vector-Jacobian product runs
+# once the sweep has reached them (see ``block``).
 class Tape:
     """Ordered record of scalar primitives and vector blocks with
     reverse-mode replay.
@@ -80,7 +83,7 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._staged = []  # (base node id, ParamStore)
-        self._blocks = []  # (first output id, output count, vjp)
+        self._runs = []  # (first leaf id, leaf count, block vjp or None)
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -98,11 +101,14 @@ class Tape:
         self._nodes.append((float(v), -1, -1, 0.0, 0.0))
         return len(self._nodes) - 1
 
-    def consts(self, values) -> list[int]:
+    def consts(self, values) -> range:
         nodes = self._nodes
         base = len(nodes)
-        nodes.extend((float(v), -1, -1, 0.0, 0.0) for v in values)
-        return list(range(base, len(nodes)))
+        vals = np.asarray(values, dtype=np.float64).ravel().tolist()
+        nodes.extend(zip(vals, repeat(-1), repeat(-1), repeat(0.0), repeat(0.0)))
+        if vals:
+            self._runs.append((base, len(vals), None))
+        return range(base, len(nodes))
 
     def stage_params(self, store: ParamStore) -> int:
         """Copy a store's values onto the tape as leaves.
@@ -111,10 +117,7 @@ class Tape:
         ``backward`` accumulates adjoints of these leaves into
         ``store.grads``.
         """
-        base = len(self._nodes)
-        self._nodes.extend(
-            (float(v), -1, -1, 0.0, 0.0) for v in store.values
-        )
+        base = self.consts(store.values).start
         self._staged.append((base, store))
         return base
 
@@ -162,33 +165,6 @@ class Tape:
         nodes.append((v, a, -1, v, 0.0))
         return len(nodes) - 1
 
-    def sqrt(self, a: int) -> int:
-        nodes = self._nodes
-        v = math.sqrt(nodes[a][0])
-        nodes.append((v, a, -1, 0.5 / v if v > 0.0 else 0.0, 0.0))
-        return len(nodes) - 1
-
-    # Ties route the gradient to the first argument.
-    def maximum(self, a: int, b: int) -> int:
-        nodes = self._nodes
-        va = nodes[a][0]
-        vb = nodes[b][0]
-        if va >= vb:
-            nodes.append((va, a, b, 1.0, 0.0))
-        else:
-            nodes.append((vb, a, b, 0.0, 1.0))
-        return len(nodes) - 1
-
-    def minimum(self, a: int, b: int) -> int:
-        nodes = self._nodes
-        va = nodes[a][0]
-        vb = nodes[b][0]
-        if va <= vb:
-            nodes.append((va, a, b, 1.0, 0.0))
-        else:
-            nodes.append((vb, a, b, 0.0, 1.0))
-        return len(nodes) - 1
-
     def affine(self, xs, ws, bias: int) -> int:
         """Fused ``sum(w_i * x_i) + bias`` over node ids.
 
@@ -202,17 +178,18 @@ class Tape:
         nodes.append((acc, tuple(xs), tuple(ws), bias, None))
         return len(nodes) - 1
 
-    def block(self, values, vjp) -> list[int]:
+    def block(self, values, vjp) -> range:
         """Vector-valued primitive whose values were computed outside the tape.
 
-        ``values`` become leaf nodes. During ``backward``, once the sweep
-        has passed all of them, ``vjp(adjoints)`` receives their adjoints as
-        an array and returns ``(ids, grads)`` pairs to add into earlier
-        nodes; ``ids`` is a sequence of node ids, best a ``range``.
+        ``values`` become leaf nodes, returned as one id range. During
+        ``backward``, once the sweep has passed all of them,
+        ``vjp(adjoints)`` receives their adjoints as an array and returns
+        ``(ids, grads)`` pairs to add into earlier nodes; ``ids`` is a
+        sequence of node ids, best a ``range``.
         """
         ids = self.consts(values)
         if ids:
-            self._blocks.append((ids[0], len(ids), vjp))
+            self._runs[-1] = (ids.start, len(ids), vjp)
         return ids
 
     def mean_of(self, ids) -> int:
@@ -229,11 +206,13 @@ class Tape:
         adj = [0.0] * n
         adj[output] = 1.0
         hi = output + 1
-        for start, m, vjp in reversed(self._blocks):
+        for start, m, vjp in reversed(self._runs):
             if start > output:
                 continue
             self._sweep(adj, start + m, hi)
             hi = start
+            if vjp is None:
+                continue
             g = np.asarray(adj[start : start + m])
             if not g.any():
                 continue
@@ -342,18 +321,27 @@ def mse_on_tape(tape: Tape, preds, targets) -> int:
     return tape.mean_of(sq)
 
 
-def cosine_on_tape(tape: Tape, v_nodes, w_const: np.ndarray) -> int:
-    """Cosine-similarity node between tape vector ``v_nodes`` and a constant."""
-    w = np.asarray(w_const, dtype=np.float64)
-    if len(v_nodes) != len(w):
-        raise ValueError(f"shape mismatch: {len(v_nodes)} vs {len(w)}")
-    wn = float(np.linalg.norm(w))
-    if wn == 0.0:
+def cosine_on_tape(tape: Tape, rows, targets) -> int:
+    """Mean cosine similarity between tape vectors and constant targets.
+
+    ``rows`` is a list of id rows and ``targets`` an array with one row
+    each. The batch is one block with one output; its vector-Jacobian
+    product is ``(w_i / (|v_i| |w_i|) - cos_i v_i / |v_i|^2) / n`` per row.
+    """
+    w = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if len(rows) != len(w) or any(len(r) != w.shape[1] for r in rows):
+        raise ValueError(f"shape mismatch: {[len(r) for r in rows]} vs {w.shape}")
+    flat = [x for r in rows for x in r]
+    v = np.asarray(tape.vals(flat)).reshape(w.shape)
+    vn = np.linalg.norm(v, axis=1)
+    wn = np.linalg.norm(w, axis=1)
+    if np.any(vn == 0.0) or np.any(wn == 0.0):
         raise ValueError("zero vector")
-    w_ids = tape.consts(w)
-    dot = tape.affine(v_nodes, w_ids, tape.const(0.0))
-    sq_norm = tape.affine(v_nodes, v_nodes, tape.const(0.0))
-    if tape.val(sq_norm) == 0.0:
-        raise ValueError("zero vector")
-    denom = tape.mul(tape.sqrt(sq_norm), tape.const(wn))
-    return tape.div(dot, denom)
+    cos = np.einsum("ij,ij->i", v, w) / (vn * wn)
+
+    def vjp(g):
+        dv = w / (vn * wn)[:, None] - (cos / vn**2)[:, None] * v
+        return [(flat, (g[0] / len(w)) * dv.ravel())]
+
+    (out,) = tape.block([cos.mean()], vjp)
+    return out

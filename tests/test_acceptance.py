@@ -237,8 +237,8 @@ class TestCriterion3Gradients:
 
                 def tape_fn(tape):
                     base = tape.stage_params(store)
-                    return cosine_on_tape(
-                        tape, list(range(base, base + n * d)), w)
+                    return cosine_on_tape(  # a one-row batch
+                        tape, [range(base, base + n * d)], w[None])
 
                 def np_fn():
                     return cosine(store.values, w)

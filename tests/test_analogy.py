@@ -231,6 +231,28 @@ class TestTraining:
         curve = exc.value.diagnostics["loss_curve"]
         assert len(curve) == 1 and math.isfinite(curve[0])
 
+    def test_agn_training_repeats_bitwise_and_predicts_consistently(self):
+        # the checks the benchmark's analogy workload makes on every round
+        table, rels, _ = build_synthetic_analogy_corpus(
+            5, 12, d=8, seed=12, subnet_scale=1.5)
+        splits = prepare_analogy_splits(table, rels, seed=12)
+        cfg = TrainConfig(epochs=2, seed=12, model="agn", n_layers=3, hidden_dim=16,
+                          weight_decay=1e-4)
+        runs = [train_analogy("wv_agn", table, splits["train"], cfg) for _ in range(2)]
+        (model, losses), (again, losses_again) = runs
+        assert model is not again
+        assert losses == losses_again
+        assert model.store.values.tobytes() == again.store.values.tobytes()
+        assert len(losses) == 2 and losses[-1] < losses[0]
+
+        abc = [np.stack([table.lookup(getattr(e, w)) for e in splits["test"]])
+               for w in ("a", "b", "c")]
+        batch = analogy_fn("wv_agn", *abc, model=model)
+        single = np.concatenate([analogy_fn("wv_agn", *(v[r : r + 1] for v in abc),
+                                            model=model) for r in range(len(batch))])
+        gap = np.linalg.norm(single - batch, axis=1)
+        assert np.all(gap <= 1e-9 * np.linalg.norm(batch, axis=1))
+
     def test_mlp_training_reduces_loss(self):
         table, rels, _ = build_synthetic_analogy_corpus(
             4, 10, d=4, seed=10, subnet_scale=0.8)

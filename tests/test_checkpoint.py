@@ -13,8 +13,10 @@ import abnn
 from abnn.abelian import AbelianOp
 from abnn.analogy import MlpModel
 from abnn.baseline import DeepSetsModel
+from abnn import checkpoint
 from abnn.checkpoint import (
     BadMagicError,
+    CheckpointError,
     ChecksumError,
     KindMismatchError,
     TrailingBytesError,
@@ -111,6 +113,72 @@ class TestRoundTrip:
             loaded = load_checkpoint(path)
             sets = [rng.uniform(-2, 2, size=(3, model.d)) for _ in range(100)]
             assert np.array_equal(model.fold_many(sets), loaded.fold_many(sets))
+
+
+def write_forged(path, kind: str, header: dict, values) -> None:
+    """A well-formed file with a valid CRC around any header and values."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    values = np.asarray(values, dtype="<f8")
+    body = b"".join([
+        b"ABNN", struct.pack("<I", 1),
+        struct.pack("<H", len(kind)), kind.encode(),
+        struct.pack("<I", len(head)), head,
+        struct.pack("<Q", values.size), values.tobytes(),
+    ])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+class TestForgedHeaders:
+    def test_flow_perms_must_be_permutations(self, tmp_path):
+        op = AbelianOp(CouplingFlow(4, 2, 5, np.random.default_rng(8), init="random"), "sum")
+        header = {"d": 4, "n_layers": 2, "hidden_dim": 5, "clamp": 5.0,
+                  "perms": [[0, 0, 2, 3], [3, 2, 1, 0]], "combiner": "sum"}
+        path = tmp_path / "flow.abnn"
+        write_forged(path, "agn-flow", header, op.store.values)
+        with pytest.raises(CheckpointError, match="not a permutation of range"):
+            load_checkpoint(path)
+        header["perms"][0] = [0, 1, 2, 4]
+        write_forged(path, "agn-flow", header, op.store.values)
+        with pytest.raises(CheckpointError, match="not a permutation of range"):
+            load_checkpoint(path)
+
+    def test_huge_structure_fails_on_the_count_before_building(self, tmp_path, monkeypatch):
+        to_header, build, count = checkpoint._REGISTRY["agn-mono"]
+        built = []
+        monkeypatch.setitem(checkpoint._REGISTRY, "agn-mono",
+                            (to_header, lambda h: built.append(h) or build(h), count))
+        net = MonotonicNet.initialized(3, 3, np.random.default_rng(9))
+        path = tmp_path / "huge.abnn"
+        write_forged(path, "agn-mono",
+                     {"k_groups": 10**5, "j_units": 10**5, "combiner": "sum"},
+                     net.store.values)
+        with pytest.raises(CheckpointError, match="parameter count 19 does not match"):
+            load_checkpoint(path)
+        assert built == []
+        # the unforged header goes through the same spy
+        write_forged(path, "agn-mono", {"k_groups": 3, "j_units": 3, "combiner": "sum"},
+                     net.store.values)
+        assert np.array_equal(load_checkpoint(path).store.values, net.store.values)
+        assert len(built) == 1
+
+    def test_malformed_header_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "bad.abnn"
+        for header, count in (({"k_groups": 3, "combiner": "sum"}, 19),
+                              ({"k_groups": "3", "j_units": 3, "combiner": "sum"}, 19),
+                              ({"k_groups": 0, "j_units": 9, "combiner": "sum"}, 1)):
+            write_forged(path, "agn-mono", header, np.zeros(count))
+            with pytest.raises(CheckpointError, match="invalid 'agn-mono' header"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_param_count_is_the_built_store_size(self, n_layers):
+        rng = np.random.default_rng(10)
+        assert CouplingFlow.param_count(5, n_layers, 7) == len(
+            CouplingFlow(5, n_layers, 7, rng).store)
+        assert DeepSetsModel.param_count(3, n_layers, 6, 4) == len(
+            DeepSetsModel(3, n_layers, 6, 4, rng).store)
+        assert MlpModel.param_count(3, n_layers, 6) == len(MlpModel(3, n_layers, 6, rng).store)
+        assert MonotonicNet.param_count(n_layers, 3) == len(MonotonicNet(n_layers, 3).store)
 
 
 class TestErrors:

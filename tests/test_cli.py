@@ -110,6 +110,15 @@ class TestConfigPrecedence:
         assert err.startswith("error: ") and why in err
         assert not (tmp_path / "o").exists()
 
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "c.json"
+        cfg_dir.mkdir()
+        assert run_cli("synthetic", "--task", "add", "--model", "agn",
+                       "--config", str(cfg_dir), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "directory" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSearch:
     def test_tiny_search(self, tmp_path):

@@ -262,6 +262,12 @@ class TestCouplingFlow:
         err = np.abs(flow.inverse(flow.forward(x)) - x).max()
         assert err < 1e-9
 
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1, 3], [0, 1], [[0, 1, 2]]],
+                             ids=["repeat", "out-of-range", "short", "nested"])
+    def test_rejects_a_non_permutation(self, perm):
+        with pytest.raises(ValueError, match="not a permutation of range"):
+            CouplingFlow(3, 1, 4, np.random.default_rng(0), permutations=[perm])
+
     def test_dimension_mismatch(self):
         flow = self.make_identity_flow(d=4)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -334,24 +340,38 @@ class TestCouplingTape:
         np.testing.assert_allclose(vals, want, rtol=1e-12)
         np.testing.assert_allclose(grads, sum(g for _, g in single), rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("direction", ["forward", "inverse"])
-    def test_gradient_matches_finite_differences(self, direction):
+    # one row, or a 16-row batch on part of which the scale subnets
+    # saturate the clamp, so the clamp mask of the block's VJP is exercised
+    @pytest.mark.parametrize("rows,direction", [
+        pytest.param(0, "forward", id="forward"),
+        pytest.param(0, "inverse", id="inverse"),
+        pytest.param(16, "forward", id="clamped-forward"),
+        pytest.param(16, "inverse", id="clamped-inverse"),
+    ])
+    def test_gradient_matches_finite_differences(self, rows, direction):
         rng = np.random.default_rng(32)
+        shape = (rows, 4) if rows else 4
         checked = 0
         while checked < 25:  # the acceptance suite runs the full 100
             flow = CouplingFlow(4, 2, 6, rng, init="random")
-            x = rng.normal(size=4)
-            probe = rng.normal(size=4)
+            x = rng.normal(size=shape)
+            probe = rng.normal(size=shape)
+            if rows:  # clamp at the median |scale| of the first layer applied
+                i = 0 if direction == "forward" else flow.n_layers - 1
+                h = x[:, flow.perms[0]] if direction == "forward" else x
+                a = np.abs(flow.scale_nets[i].forward_np(h[:, : flow.split]))
+                flow.clamp = float(np.median(a))
             if flow.selection_margin(x, direction) < 3e-4:
                 continue  # on a ReLU kink or clamp edge; derivative undefined
 
             tape = Tape()
             staged = flow.stage(tape)
-            batch = [tape.consts(x)]
-            (out,) = (flow.forward_on_tape(staged, batch) if direction == "forward"
-                      else flow.inverse_on_tape(staged, batch))
+            batch = [tape.consts(row) for row in np.atleast_2d(x)]
+            outs = (flow.forward_on_tape(staged, batch) if direction == "forward"
+                    else flow.inverse_on_tape(staged, batch))
             # scalar projection so there is one output to differentiate
-            proj = tape.affine(out, tape.consts(probe), tape.const(0.0))
+            proj = tape.affine([node for out in outs for node in out],
+                               tape.consts(probe), tape.const(0.0))
             tape.backward(proj)
             g = flow.store.grads.copy()
             flow.store.zero_grads()
@@ -362,7 +382,7 @@ class TestCouplingTape:
                 flow.store.values[:] = theta
                 y = (flow.forward(x) if direction == "forward" else flow.inverse(x))
                 flow.store.values[:] = theta0
-                return float(probe @ y)
+                return float(np.vdot(probe, y))
 
             fd = central_diff(f, theta0)
             assert_grad_close(g, fd)

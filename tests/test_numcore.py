@@ -94,19 +94,41 @@ def tanh_from_exp(t, u):
     return t.div(t.sub(one, e), t.add(one, e))
 
 
+def maximum(t, a, b):
+    """max(a, b) as a one-output block; a tie routes the gradient to a."""
+    pick = a if t.val(a) >= t.val(b) else b
+    (out,) = t.block([t.val(pick)], lambda g: [([pick], g)])
+    return out
+
+
+def minimum(t, a, b):
+    """min(a, b) as a one-output block; a tie routes the gradient to a."""
+    pick = a if t.val(a) <= t.val(b) else b
+    (out,) = t.block([t.val(pick)], lambda g: [([pick], g)])
+    return out
+
+
+def sqrt(t, a):
+    """sqrt(a) as a one-output block with derivative 1 / (2 sqrt(a))."""
+    v = math.sqrt(t.val(a))
+    (out,) = t.block([v], lambda g: [([a], g * 0.5 / v)])
+    return out
+
+
 class TestPrimitiveGradients:
-    """Reverse-mode vs central differences for composite chains."""
+    """Reverse-mode vs central differences for composite chains of scalar
+    nodes and one-output blocks."""
 
     COMPOSITES = {
         "rational": lambda t, p: t.div(t.add(t.mul(p[0], p[1]), t.const(3.0)),
                                        t.add(t.square(p[2]), t.const(1.5))),
         "tanh_relu": lambda t, p: t.add(tanh_from_exp(t, t.mul(p[0], p[1])),
-                                        t.maximum(p[2], t.const(0.0))),
-        "minmax": lambda t, p: t.minimum(t.maximum(p[0], p[1]),
-                                         t.add(p[2], t.const(0.25))),
-        "sqrt_chain": lambda t, p: t.sqrt(t.add(t.square(p[0]),
-                                                t.add(t.square(p[1]),
-                                                      t.square(p[2])))),
+                                        maximum(t, p[2], t.const(0.0))),
+        "minmax": lambda t, p: minimum(t, maximum(t, p[0], p[1]),
+                                       t.add(p[2], t.const(0.25))),
+        "sqrt_chain": lambda t, p: sqrt(t, t.add(t.square(p[0]),
+                                                 t.add(t.square(p[1]),
+                                                       t.square(p[2])))),
         "affine": lambda t, p: t.exp(t.affine(p[:2], p[1:], t.const(0.1))),
     }
 
@@ -265,7 +287,7 @@ class TestCosine:
         w = rng.normal(size=4)
 
         def f(t, p):
-            return cosine_on_tape(t, p, w)
+            return cosine_on_tape(t, [p], w[None])  # a one-row batch
 
         x = rng.normal(size=4)
         tape = Tape()
@@ -278,3 +300,27 @@ class TestCosine:
         g = grad_of(f, x)
         fd = central_diff(lambda v: cosine(v, w), x)
         assert_grad_close(g, fd)
+
+    def test_tape_batch_is_the_mean_of_row_cosines(self):
+        rng = np.random.default_rng(14)
+        w = rng.normal(size=(5, 3))
+
+        def f(t, p):
+            return cosine_on_tape(t, [p[r * 3 : (r + 1) * 3] for r in range(5)], w)
+
+        x = rng.normal(size=15)
+        tape = Tape()
+        node = f(tape, tape.consts(x))
+        want = np.mean([cosine(v, u) for v, u in zip(x.reshape(5, 3), w)])
+        assert tape.val(node) == pytest.approx(want, rel=1e-12)
+
+        g = grad_of(f, x)
+        fd = central_diff(
+            lambda v: np.mean([cosine(r, u) for r, u in zip(v.reshape(5, 3), w)]), x)
+        assert_grad_close(g, fd)
+
+    def test_tape_zero_row_is_an_error(self):
+        tape = Tape()
+        rows = [tape.consts([1.0, 2.0]), tape.consts([0.0, 0.0])]
+        with pytest.raises(ValueError, match="zero vector"):
+            cosine_on_tape(tape, rows, np.ones((2, 2)))
