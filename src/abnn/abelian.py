@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .invertible import Staged
 from .numcore import Tape
 
 __all__ = [
@@ -168,30 +166,47 @@ class AbelianOp:
             out[idx] = map_inverse(self.phi, acc)
         return out
 
-    # -- tape (training) paths -------------------------------------------------
+    # -- training path --------------------------------------------------------
 
-    def stage(self, tape: Tape) -> Staged:
-        return self.phi.stage(tape)
+    def fold_batch_on_tape(self, tape: Tape, params: int, multisets) -> int:
+        """Folds of a whole batch as one tape block of shape (n, d).
 
-    def fold_batch_on_tape(self, staged: Staged, multisets) -> list[list[int]]:
-        """Record folds for a whole batch: phi on every element row, the
-        combiner over each multiset in stored order, then phi^{-1} on all
-        the combined rows."""
+        phi runs on every element, each multiset is padded with the
+        combiner's identity (exact: ``acc + 0.0`` and ``acc * 1.0``) and
+        left-folded column by column in stored order, and phi^{-1} runs on
+        the folded rows. The block's VJP chains phi's two VJPs through the
+        combiner, and phi sums both sides' parameter terms in one pass.
+        """
         if any(len(ms) == 0 for ms in multisets):
             raise EmptyMultisetError("empty multiset")
         sets = [self._as_multiset(ms) for ms in multisets]
-        tape = staged.tape
-        d = self.d
-        elems = tape.consts(require_finite(np.concatenate(sets)).ravel())
-        phis = self.phi.forward_on_tape(
-            staged, [elems[r : r + d] for r in range(0, len(elems), d)])
-        combine = tape.add if self.combiner == SUM else tape.mul
-        zs = []
-        pos = 0
-        for X in sets:
-            zs.append([reduce(combine, col) for col in zip(*phis[pos : pos + len(X)])])
-            pos += len(X)
-        return self.phi.inverse_on_tape(staged, zs)
+        counts = np.array([len(X) for X in sets])
+        rows = np.repeat(np.arange(len(sets)), counts)
+        cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        phi = self.phi
+        f, vjp_f = phi.forward_with_vjp(require_finite(np.concatenate(sets)))
+        padded = np.full((len(sets), counts.max(), self.d), 0.0 if self.combiner == SUM else 1.0)
+        padded[rows, cols] = f
+        accs = [padded[:, 0]]
+        for e in range(1, padded.shape[1]):
+            accs.append(self._combine_vals(accs[-1], padded[:, e]))
+        out, vjp_i = phi.inverse_with_vjp(accs[-1])
+
+        def vjp(g):
+            part_i, g = vjp_i(g)
+            if self.combiner == SUM:  # each element's phi takes its fold's adjoint
+                g_f = g[rows]
+            else:  # back through acc_e = acc_{e-1} * padded_e
+                g_pad = np.empty_like(padded)
+                for e in range(padded.shape[1] - 1, 0, -1):
+                    g_pad[:, e] = accs[e - 1] * g
+                    g = padded[:, e] * g
+                g_pad[:, 0] = g
+                g_f = g_pad[rows, cols]
+            part_f, _ = vjp_f(g_f)
+            return [(params, phi.param_grads([part_i, part_f]))]
+
+        return tape.block(out, vjp)
 
 
 # -- Lipschitz estimation and the size-generalization bound -------------------
@@ -330,11 +345,10 @@ def size_generalization_check(
     lo, hi = lo - pad, hi + pad
 
     sizes = rng.integers(2, a + 1, size=n_small)
+    small = [rng.uniform(lo, hi, size=int(m)) for m in sizes]
     eps = 0.0
-    for m in sizes:
-        ms = rng.uniform(lo, hi, size=int(m))
-        err = abs(float(op.fold(ms)[0]) - float(target_fold(ms)))
-        eps = max(eps, err)
+    for pred, ms in zip(op.fold_many(small)[:, 0].tolist(), small):
+        eps = max(eps, abs(pred - float(target_fold(ms))))
 
     k1 = estimate_lipschitz(op.phi, lo, hi, 4000, rng).k1
     edge = op.phi.forward(np.array([lo, hi]))
@@ -347,8 +361,8 @@ def size_generalization_check(
     if large_sets is None:
         large_sets = [rng.uniform(base_lo, base_hi, size=b) for _ in range(n_large)]
     measured = max(
-        abs(float(op.fold(ms)[0]) - float(target_fold(np.asarray(ms, dtype=np.float64).reshape(-1))))
-        for ms in large_sets
+        abs(pred - float(target_fold(np.asarray(ms, dtype=np.float64).reshape(-1))))
+        for pred, ms in zip(op.fold_many(large_sets)[:, 0].tolist(), large_sets)
     )
     return {
         "epsilon": eps,

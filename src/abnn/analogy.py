@@ -225,11 +225,6 @@ class MlpModel:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net.forward_np(x)
 
-    def stage(self, tape: Tape):
-        from .invertible import Staged
-
-        return Staged(tape, tape.stage_params(self.store))
-
 
 def _check_dims(*vecs):
     dims = {np.asarray(v).shape[-1] for v in vecs}
@@ -264,19 +259,18 @@ def build_analogy_model(kind: str, d: int, cfg: TrainConfig):
     raise ValueError(f"kind {kind!r} has no trainable model")
 
 
-def _offset_on_tape(tape: Tape, pbac):
-    """``phi(b) - phi(a) + phi(c)`` for each (b, a, c) triple of rows, as one
-    block over the rows of a single flow block (one contiguous id range)."""
-    span = range(pbac[0][0], pbac[-1][-1] + 1)
-    n, d = len(pbac) // 3, len(pbac[0])
-    v = np.asarray(tape.vals(span)).reshape(n, 3, d)
+def _offset_on_tape(tape: Tape, pbac: int) -> int:
+    """``phi(b) - phi(a) + phi(c)`` for each (b, a, c) triple of rows of the
+    value ``pbac``, as one block."""
+    v = tape.val(pbac)
+    n, d = len(v) // 3, v.shape[1]
+    v = v.reshape(n, 3, d)
     signs = np.array([1.0, -1.0, 1.0])[:, None]
 
     def vjp(g):
-        return [(span, (g.reshape(n, 1, d) * signs).ravel())]
+        return [(pbac, (g.reshape(n, 1, d) * signs).reshape(3 * n, d))]
 
-    ids = tape.block((v[:, 0] - v[:, 1] + v[:, 2]).ravel(), vjp)
-    return [ids[r * d : (r + 1) * d] for r in range(n)]
+    return tape.block(v[:, 0] - v[:, 1] + v[:, 2], vjp)
 
 
 def train_analogy(kind: str, table: EmbeddingTable, train_examples,
@@ -294,18 +288,16 @@ def train_analogy(kind: str, table: EmbeddingTable, train_examples,
     C = np.stack([table.lookup(e.c) for e in train_examples])
     D = np.stack([table.lookup(e.d_candidates[0]) for e in train_examples])
 
-    def batch_loss(tape, staged, idx):
+    def batch_loss(tape, params, idx):
         if kind == "wv_mlp":
-            outs = model.net.forward_on_tape(
-                staged, [tape.consts(B[i] - A[i] + C[i]) for i in idx])
+            outs = model.net.forward_on_tape(tape, params, tape.consts(B[idx] - A[idx] + C[idx]))
         else:
             phi = model.phi
-            bac = tape.consts(np.stack([B[idx], A[idx], C[idx]], axis=1))
-            d = table.dim
-            pbac = phi.forward_on_tape(
-                staged, [bac[r : r + d] for r in range(0, len(bac), d)])
-            outs = phi.inverse_on_tape(staged, _offset_on_tape(tape, pbac))
-        return tape.neg(cosine_on_tape(tape, outs, D[idx]))
+            bac = tape.consts(np.stack([B[idx], A[idx], C[idx]], axis=1).reshape(-1, table.dim))
+            pbac = phi.forward_on_tape(tape, params, bac)
+            outs = phi.inverse_on_tape(tape, params, _offset_on_tape(tape, pbac))
+        cos = cosine_on_tape(tape, outs, D[idx])
+        return tape.block(-tape.val(cos), lambda g: [(cos, -g)])
 
     return model, fit(model, batch_loss, len(train_examples), cfg, stream=12)
 

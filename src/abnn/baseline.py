@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .abelian import EmptyMultisetError, require_finite
-from .invertible import Mlp, Staged, stack_param_count
+from .invertible import Mlp, stack_param_count
 from .numcore import ParamStore, Tape
 
 __all__ = ["DeepSetsModel"]
@@ -91,29 +91,13 @@ class DeepSetsModel:
 
     # -- training path ---------------------------------------------------------
 
-    def stage(self, tape: Tape) -> Staged:
-        return Staged(tape, tape.stage_params(self.store))
-
-    def fold_batch_on_tape(self, staged: Staged, multisets) -> list[list[int]]:
+    def fold_batch_on_tape(self, tape: Tape, params: int, multisets) -> int:
         """Every element through the inner block at once, one sum-pooling
         block in canonical order, then the outer block on the pooled rows."""
-        tape = staged.tape
         sets = [self._canonical(X) for X in multisets]
-        if not sets:
-            return []
-        d, width = self.d, self.middle_dim
-        elems = tape.consts(np.concatenate(sets).ravel())
-        feats = self.inner.forward_on_tape(
-            staged, [elems[r * d : (r + 1) * d] for r in range(len(elems) // d)])
-        flat = [x for f in feats for x in f]
+        feats = self.inner.forward_on_tape(tape, params, tape.consts(np.concatenate(sets)))
         counts = [len(X) for X in sets]
         starts = np.cumsum([0] + counts[:-1])
-        pooled = np.add.reduceat(np.asarray(tape.vals(flat)).reshape(-1, width),
-                                 starts, axis=0)
-
-        def vjp(g):
-            return [(flat, np.repeat(g.reshape(pooled.shape), counts, axis=0).ravel())]
-
-        ids = tape.block(pooled.ravel(), vjp)
-        return self.outer.forward_on_tape(
-            staged, [ids[i * width : (i + 1) * width] for i in range(len(sets))])
+        sums = np.add.reduceat(tape.val(feats), starts, axis=0)
+        pooled = tape.block(sums, lambda g: [(feats, np.repeat(g, counts, axis=0))])
+        return self.outer.forward_on_tape(tape, params, pooled)

@@ -212,7 +212,10 @@ def load_checkpoint(path, expected_kind: str | None = None):
     if r.pos != len(data):
         raise TrailingBytesError(
             f"{len(data) - r.pos} trailing byte(s) after the checksum")
-    kind = kind_raw.decode()
+    try:
+        kind = kind_raw.decode()
+    except UnicodeDecodeError as err:
+        raise CheckpointError(f"model kind {kind_raw!r} is not UTF-8") from err
     if expected_kind is not None and kind != expected_kind:
         raise KindMismatchError(
             f"model kind mismatch: file holds {kind!r}, expected {expected_kind!r}")

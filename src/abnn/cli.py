@@ -24,7 +24,7 @@ import numpy as np
 from . import analogy as ana
 from .algebra import NotAssociative, SymPoly2, classify
 from .abelian import SizeGenBound, size_generalization_bound
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .harness import (
     REFERENCE_CONFIGS,
     TASKS,
@@ -294,7 +294,10 @@ def cmd_analogy_eval(parser, args) -> int:
             _fail(parser, f"kind {args.kind} needs --model with a checkpoint")
         if not os.path.exists(args.model_path):
             _fail(parser, f"checkpoint not found: {args.model_path}")
-        model = load_checkpoint(args.model_path, expected_kind=_CKPT_KIND[kind])
+        try:
+            model = load_checkpoint(args.model_path, expected_kind=_CKPT_KIND[kind])
+        except (CheckpointError, OSError) as err:
+            _fail(parser, f"cannot load checkpoint {args.model_path}: {err}")
     test = splits["test"]
     if not test:
         print("error: no test examples survived vocabulary filtering",

@@ -186,8 +186,9 @@ def fit(model, batch_loss, n: int, cfg: TrainConfig, stream: int) -> list[float]
     """Minibatch Adam over ``n`` examples; returns the mean loss per epoch.
 
     Every epoch visits the examples in an order drawn from the seed stream
-    ``[cfg.seed, stream]``. ``batch_loss(tape, staged, idx)`` records the
-    mean loss of the examples ``idx`` on ``tape`` and returns its node. A
+    ``[cfg.seed, stream]``. ``batch_loss(tape, params, idx)`` records the
+    mean loss of the examples ``idx`` on ``tape``, given the handle of the
+    staged ``model.store``, and returns the loss handle. A
     non-finite loss or gradient, or a phi that stops being invertible,
     raises :class:`DivergedError` with the loss curve so far and the epoch
     in its diagnostics.
@@ -201,8 +202,8 @@ def fit(model, batch_loss, n: int, cfg: TrainConfig, stream: int) -> list[float]
             for s in range(0, n, cfg.batch_size):
                 idx = order[s : s + cfg.batch_size]
                 tape = Tape()
-                loss = batch_loss(tape, model.stage(tape), idx)
-                lval = tape.val(loss)
+                loss = batch_loss(tape, tape.stage_params(model.store), idx)
+                lval = float(tape.val(loss))
                 if not math.isfinite(lval):
                     raise DivergedError(f"diverged: non-finite loss at epoch {epoch}")
                 tape.backward(loss)
@@ -234,8 +235,8 @@ def train(model, data, cfg: TrainConfig) -> ExperimentResult:
     multisets = [ms for ms, _ in data]
     targets = np.stack([t for _, t in data])
 
-    def batch_loss(tape, staged, idx):
-        preds = model.fold_batch_on_tape(staged, [multisets[i] for i in idx])
+    def batch_loss(tape, params, idx):
+        preds = model.fold_batch_on_tape(tape, params, [multisets[i] for i in idx])
         return mse_on_tape(tape, preds, targets[idx])
 
     t0 = time.perf_counter()

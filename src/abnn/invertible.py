@@ -10,13 +10,15 @@ Two families:
 * :class:`CouplingFlow` for d>=2 — a stack of affine coupling layers with
   frozen random permutations in between. Inverted analytically.
 
-Both keep their weights in a flat :class:`~abnn.numcore.ParamStore` and
-record training batches on a :class:`~abnn.numcore.Tape` through one method
-per direction, ``forward_on_tape`` and ``inverse_on_tape``; an :class:`Mlp`
-has only the forward. Each takes a list of id rows and returns a list of
-id rows. An MLP batch and a whole flow pass are each one tape block with a
-numpy vector-Jacobian product; the monotone net records scalar nodes
-through each point's active unit.
+Both keep their weights in a flat :class:`~abnn.numcore.ParamStore`. For
+training, each map has one numpy pass with its vector-Jacobian product per
+direction, ``forward_with_vjp`` and ``inverse_with_vjp``; an :class:`Mlp`
+has only the forward. An MLP batch and a whole flow pass are recorded on a
+:class:`~abnn.numcore.Tape` as one block each by ``forward_on_tape`` and
+``inverse_on_tape``, which take and return handles of (n, d) values. The
+monotone net's VJPs return per-point (unit, term) arrays that
+:meth:`MonotonicNet.param_grads` sums in one ordered pass, so that an
+Abelian fold through it is one block with scalar-sweep gradients.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ import numpy as np
 
 from .numcore import ParamStore, Tape
 
-__all__ = ["InversionError", "Mlp", "MonotonicNet", "CouplingFlow", "Staged"]
+__all__ = ["InversionError", "Mlp", "MonotonicNet", "CouplingFlow"]
+
+_EXP_MAX = 709.0  # exp() overflows double beyond this
 
 
 class InversionError(RuntimeError):
@@ -35,28 +39,15 @@ class InversionError(RuntimeError):
     slope) or a target has no finite preimage."""
 
 
-class Staged:
-    """Bookkeeping for one ParamStore staged onto one Tape.
+def _block(tape: Tape, params: int, x: int, out, vjp, where=slice(None)) -> int:
+    """Record ``out`` as one block over the input value ``x``; ``vjp(g)``
+    returns (parameter grads for ``params[where]``, input grads)."""
 
-    Slot ``i`` of the store lives at tape node ``base + i``. The monotone
-    net caches derived node ids (its units' effective weights) here so a
-    batch pays for them once.
-    """
+    def block_vjp(g):
+        grads, g_in = vjp(g)
+        return [(params, grads, where), (x, g_in)]
 
-    def __init__(self, tape: Tape, base: int):
-        self.tape = tape
-        self.base = base
-        self.cache = {}
-
-    def slot(self, s: int) -> int:
-        return self.base + s
-
-
-def _check_rows(batch_ids, d: int):
-    for ids in batch_ids:
-        if len(ids) != d:
-            raise ValueError(f"dimension mismatch: expected {d}, got {len(ids)}")
-    return batch_ids
+    return tape.block(out, block_vjp)
 
 
 def mlp_param_count(dims) -> int:
@@ -168,26 +159,11 @@ class Mlp:
 
         return h, vjp
 
-    def forward_on_tape(self, staged: Staged, batch_ids):
-        """The MLP on a batch of input vectors as one tape block.
-
-        Values come from a numpy pass over the store (identical to the
-        staged leaves within a step); backward is the matching numpy
-        vector-Jacobian product into the inputs and the staged weights.
-        """
-        tape = staged.tape
-        flat_in = [x for ids in batch_ids for x in ids]
-        out, mlp_vjp = self.forward_with_vjp(
-            np.asarray(tape.vals(flat_in)).reshape(len(batch_ids), self.dims[0]))
-        params = range(staged.base + self.base, staged.base + self.base + self.size)
-
-        def vjp(g):
-            grads, g_in = mlp_vjp(g.reshape(out.shape))
-            return [(params, grads), (flat_in, g_in.ravel())]
-
-        ids = tape.block(out.ravel(), vjp)
-        n_out = self.dims[-1]
-        return [ids[r * n_out : (r + 1) * n_out] for r in range(len(batch_ids))]
+    def forward_on_tape(self, tape: Tape, params: int, x: int) -> int:
+        """The MLP on the rows of the value ``x`` as one tape block, with
+        gradients into the inputs and this block's slots of ``params``."""
+        out, vjp = self.forward_with_vjp(tape.val(x))
+        return _block(tape, params, x, out, vjp, slice(self.base, self.base + self.size))
 
 
 class MonotonicNet:
@@ -326,47 +302,74 @@ class MonotonicNet:
         slopes = [abs(w[k, j]) for _, _, k, j in self.active_segments(lo, hi)]
         return min(slopes), max(slopes)
 
-    # -- tape evaluation -----------------------------------------------------
+    # -- training: one unit line per point --------------------------------------
 
-    def stage(self, tape: Tape) -> Staged:
-        return Staged(tape, tape.stage_params(self.store))
+    def _exp_w(self) -> np.ndarray:
+        """``exp(w~)`` per unit, flat, by ``math.exp`` and overflowing to inf
+        from w~ >= 709, so that a diverging run still ends in a non-finite
+        loss or gradient."""
+        return np.array([math.exp(v) if v < _EXP_MAX else math.inf
+                         for v in self.w_tilde.ravel().tolist()])
 
-    def unit_ids(self, staged: Staged, k: int, j: int):
-        """(effective-weight node, bias node) for one unit, cached per batch."""
-        key = (id(self), k, j)
-        ids = staged.cache.get(key)
-        if ids is None:
-            tape = staged.tape
-            n = self.k_groups * self.j_units
-            flat = k * self.j_units + j
-            w_eff = tape.mul(staged.slot(2 * n), tape.exp(staged.slot(flat)))
-            ids = (w_eff, staged.slot(n + flat))
-            staged.cache[key] = ids
-        return ids
+    def _active_lines(self, x):
+        """Flat unit index, slope and intercept of the unit line that is
+        active at each point of ``x``."""
+        k, j = self.active_units(x)
+        u = (k * self.j_units + j).ravel()
+        return u, (self.sign * self._exp_w())[u], self.bias.ravel()[u]
 
-    def forward_on_tape(self, staged: Staged, batch_ids):
-        """f on a batch of 1-vectors through each point's active unit only;
-        that affine map has the lattice's value and gradient."""
-        tape = staged.tape
-        xs = [ids[0] for ids in _check_rows(batch_ids, 1)]
-        ks, js = self.active_units(np.array(tape.vals(xs)))
-        out = []
-        for x, k, j in zip(xs, ks.tolist(), js.tolist()):
-            w_id, b_id = self.unit_ids(staged, k, j)
-            out.append([tape.add(tape.mul(w_id, x), b_id)])
-        return out
+    def forward_with_vjp(self, x: np.ndarray):
+        """f at an array of points through each point's active unit, whose
+        affine map has the lattice's value and gradient.
 
-    def inverse_on_tape(self, staged: Staged, batch_ids):
-        """Differentiable inverse: solve for x in closed form, then express
-        it through the active unit so gradients flow into y, w~, b, and s."""
-        tape = staged.tape
-        ys = [ids[0] for ids in _check_rows(batch_ids, 1)]
-        ks, js = self.active_units(self.inverse_batch(np.array(tape.vals(ys))))
-        out = []
-        for y, k, j in zip(ys, ks.tolist(), js.tolist()):
-            w_id, b_id = self.unit_ids(staged, k, j)
-            out.append([tape.div(tape.sub(y, b_id), w_id)])
-        return out
+        Returns ``(out, vjp)``; ``vjp(g)`` gives ``(part, input_grads)``
+        where ``part`` holds per-point (unit, w-term, b-term) arrays that
+        :meth:`param_grads` turns into store gradients.
+        """
+        u, w, b = self._active_lines(x)
+        xf = x.ravel()
+
+        def vjp(g):
+            g = g.ravel()
+            return (u, xf * g, g), (w * g).reshape(x.shape)
+
+        return (w * xf + b).reshape(x.shape), vjp
+
+    def inverse_with_vjp(self, y: np.ndarray):
+        """f^{-1} at an array of targets: solved in closed form, then
+        expressed through the active unit as ``(y - b) / w``; the VJP is
+        shaped as in :meth:`forward_with_vjp`."""
+        u, w, b = self._active_lines(self.inverse_batch(y))
+        out = (y.ravel() - b) / w
+
+        def vjp(g):
+            g = g.ravel()
+            g_y = (1.0 / w) * g
+            return (u, (-out / w) * g, -g_y), g_y.reshape(y.shape)
+
+        return out.reshape(y.shape), vjp
+
+    def param_grads(self, parts) -> np.ndarray:
+        """Store gradient from VJP parts, latest call first.
+
+        The terms add up in the order a scalar reverse sweep adds them:
+        each unit sums its terms over the parts in reverse, and s sums over
+        the units in reverse order of first use, so gradients match the
+        scalar chain ``w = s * exp(w~)`` bit for bit.
+        """
+        n = self.k_groups * self.j_units
+        units = np.concatenate([u[::-1] for u, _, _ in parts])
+        g_w = np.bincount(units, np.concatenate([t[::-1] for _, t, _ in parts]), minlength=n)
+        g_b = np.bincount(units, np.concatenate([t[::-1] for _, _, t in parts]), minlength=n)
+        calls = np.concatenate([u for u, _, _ in reversed(parts)])
+        _, first = np.unique(calls, return_index=True)
+        used = calls[np.sort(first)[::-1]]
+        e = self._exp_w()
+        grads = np.zeros(2 * n + 1)
+        grads[used] = e[used] * (self.sign * g_w[used])
+        grads[n : 2 * n] = g_b
+        grads[2 * n] = np.cumsum(e[used] * g_w[used])[-1]
+        return grads
 
 
 class CouplingFlow:
@@ -513,29 +516,19 @@ class CouplingFlow:
                 h = h[..., self.inv_perms[i]]
         return margin
 
-    # -- tape evaluation -----------------------------------------------------
+    # -- training ----------------------------------------------------------------
 
-    def stage(self, tape: Tape) -> Staged:
-        return Staged(tape, tape.stage_params(self.store))
-
-    def _on_tape(self, staged: Staged, batch_ids, inverse: bool):
-        """A whole pass over a batch as one tape block.
-
-        The vector-Jacobian product walks the layers back in numpy and
-        returns one gradient for the flow's parameter range and one for
-        the inputs.
-        """
-        tape = staged.tape
-        flat_in = [x for ids in _check_rows(batch_ids, self.d) for x in ids]
+    def _with_vjp(self, h: np.ndarray, inverse: bool):
+        """A whole pass over rows ``h`` and its vector-Jacobian product,
+        which walks the layers back in numpy and returns the gradient over
+        the whole store and the gradient of the inputs."""
+        self._check_dim(h)
         layers = []
-        out = self._run(np.asarray(tape.vals(flat_in)).reshape(len(batch_ids), self.d),
-                        inverse, layers)
-        params = range(staged.base, staged.base + len(self.store))
+        out = self._run(h, inverse, layers)
         k = self.split
 
         def vjp(g):
-            g = g.reshape(out.shape)
-            grads = np.empty(len(params))
+            grads = np.empty(len(self.store))
             for i, u, e, mask, vjp_s, vjp_t in reversed(layers):
                 if inverse:
                     g = g[:, self.perms[i]]
@@ -554,16 +547,25 @@ class CouplingFlow:
                 g = np.concatenate([g1, g_in2], axis=1)
                 if not inverse:
                     g = g[:, self.inv_perms[i]]
-            return [(params, grads), (flat_in, g.ravel())]
+            return grads, g
 
-        ids = tape.block(out.ravel(), vjp)
-        d = self.d
-        return [ids[r * d : (r + 1) * d] for r in range(len(batch_ids))]
+        return out, vjp
 
-    def forward_on_tape(self, staged: Staged, batch_ids):
-        """The flow on a batch of vectors as one tape block."""
-        return self._on_tape(staged, batch_ids, inverse=False)
+    def forward_with_vjp(self, x: np.ndarray):
+        return self._with_vjp(x, inverse=False)
 
-    def inverse_on_tape(self, staged: Staged, batch_ids):
-        """The inverse flow on a batch of vectors as one tape block."""
-        return self._on_tape(staged, batch_ids, inverse=True)
+    def inverse_with_vjp(self, y: np.ndarray):
+        return self._with_vjp(y, inverse=True)
+
+    @staticmethod
+    def param_grads(parts) -> np.ndarray:
+        """Store gradient from VJP parts, latest call first."""
+        return sum(parts)
+
+    def forward_on_tape(self, tape: Tape, params: int, x: int) -> int:
+        """The flow on the rows of the value ``x`` as one tape block."""
+        return _block(tape, params, x, *self.forward_with_vjp(tape.val(x)))
+
+    def inverse_on_tape(self, tape: Tape, params: int, y: int) -> int:
+        """The inverse flow on the rows of the value ``y`` as one tape block."""
+        return _block(tape, params, y, *self.inverse_with_vjp(tape.val(y)))

@@ -1,7 +1,9 @@
-"""Finite-difference oracles shared by the gradient tests.
+"""Finite-difference oracles shared by the gradient tests, and two small
+tape probes.
 
-Kept deliberately independent of the tape: everything here evaluates plain
-float functions, so it can certify reverse-mode results.
+The oracles are deliberately independent of the tape: they evaluate plain
+float functions, so they can certify reverse-mode results. The probes
+record one block each, with the vector-Jacobian product written out here.
 """
 
 import numpy as np
@@ -30,3 +32,32 @@ def rel_err(a, b, floor=1e-4):
 def assert_grad_close(ad_grad, fd_grad, tol=1e-4):
     err = rel_err(ad_grad, fd_grad)
     assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol}"
+
+
+def project(tape, h, probe):
+    """The scalar ``<probe, val(h)>`` as a block, so that a vector value has
+    one output to differentiate."""
+    v = tape.val(h)
+    probe = np.asarray(probe, dtype=np.float64).reshape(v.shape)
+    return tape.block(np.vdot(probe, v), lambda g: [(h, g * probe)])
+
+
+def reshaped(tape, h, shape):
+    """The value ``h`` in another shape, as a block."""
+    v = tape.val(h)
+    return tape.block(v.reshape(shape), lambda g: [(h, g.reshape(v.shape))])
+
+
+def map_on_tape(tape, phi, x, inverse=False):
+    """phi (or its inverse) at the array ``x`` as one block through the
+    map's own forward or inverse VJP, with gradients into a fresh staging
+    of ``phi.store``."""
+    params = tape.stage_params(phi.store)
+    x = np.asarray(x, dtype=np.float64)
+    out, vjp = (phi.inverse_with_vjp if inverse else phi.forward_with_vjp)(x)
+
+    def block_vjp(g):
+        part, _ = vjp(g)
+        return [(params, phi.param_grads([part]))]
+
+    return tape.block(out, block_vjp)

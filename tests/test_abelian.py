@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from abnn.abelian import (
     size_generalization_bound,
 )
 from abnn.invertible import CouplingFlow, MonotonicNet
-from abnn.numcore import Tape
+from abnn.numcore import Tape, mse_on_tape
 
-from gradcheck import assert_grad_close, central_diff
+from gradcheck import assert_grad_close, central_diff, project
 from test_invertible import make_mono
 
 
@@ -200,6 +202,102 @@ class TestNonFiniteElements:
                 op.fold(bad)
 
 
+def near_tie(net, xs, margin=1e-3):
+    """Whether a point lies within ``margin`` of an active-unit tie, where
+    finite differences would straddle two pieces."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64)).ravel()
+    units = net.effective_weights() * xs[:, None, None] + net.bias
+    group_vals = units.max(axis=2)
+    inner = np.sort(units[np.arange(len(xs)), group_vals.argmin(axis=1)], axis=1)
+    groups = np.sort(group_vals, axis=1)
+    close = np.zeros(len(xs), dtype=bool)
+    if groups.shape[1] > 1:
+        close |= groups[:, 1] - groups[:, 0] < margin
+    if inner.shape[1] > 1:
+        close |= inner[:, -1] - inner[:, -2] < margin
+    return bool(close.any())
+
+
+class ScalarTape:
+    """Float-by-float reference: one node per scalar, each with its inputs
+    and local derivatives, swept in reverse creation order."""
+
+    def __init__(self):
+        self.nodes = []  # (value, ((input node, local derivative), ...))
+
+    def add_node(self, v, *parents):
+        self.nodes.append((v, parents))
+        return len(self.nodes) - 1
+
+    def val(self, i):
+        return self.nodes[i][0]
+
+    def adjoints(self, out):
+        adj = [0.0] * len(self.nodes)
+        adj[out] = 1.0
+        for i in range(out, -1, -1):
+            if adj[i] != 0.0:
+                for a, d in self.nodes[i][1]:
+                    adj[a] += d * adj[i]
+        return adj
+
+
+def scalar_fold_mse(op, sets, targets):
+    """MSE of a mono fold batch and its parameter gradient, recorded one
+    scalar at a time: phi through each element's active unit, the combiner
+    as a left fold, phi^{-1} through the unit active at the solution, and
+    the mean of squared errors as one fused sum."""
+    net, t = op.phi, ScalarTape()
+    theta = [t.add_node(v) for v in net.store.values.tolist()]
+    n, s = net.k_groups * net.j_units, theta[-1]
+    units = {}
+
+    def unit(k, j):
+        k, j = int(k), int(j)
+        if (k, j) not in units:  # w = s * exp(w~), made at first use
+            flat = k * net.j_units + j
+            v = t.val(theta[flat])
+            e = t.add_node(math.exp(v), (theta[flat], math.exp(v)))
+            w = t.add_node(t.val(s) * t.val(e), (s, t.val(e)), (e, t.val(s)))
+            units[(k, j)] = (w, theta[n + flat])
+        return units[(k, j)]
+
+    def mul(a, b):
+        return t.add_node(t.val(a) * t.val(b), (a, t.val(b)), (b, t.val(a)))
+
+    def add(a, b):
+        return t.add_node(t.val(a) + t.val(b), (a, 1.0), (b, 1.0))
+
+    elems = [t.add_node(x) for ms in sets for x in ms]
+    phis = []
+    for x in elems:
+        w, b = unit(*net.active_units(t.val(x)))
+        phis.append(add(mul(w, x), b))
+    zs, pos = [], 0
+    for ms in sets:
+        acc = phis[pos]
+        for p in phis[pos + 1 : pos + len(ms)]:
+            acc = add(acc, p) if op.combiner == "sum" else mul(acc, p)
+        zs.append(acc)
+        pos += len(ms)
+    preds = []
+    for z in zs:
+        w, b = unit(*net.active_units(net.inverse_batch(t.val(z))))
+        u = t.add_node(t.val(z) - t.val(b), (z, 1.0), (b, -1.0))
+        v = t.val(u) / t.val(w)
+        preds.append(t.add_node(v, (u, 1.0 / t.val(w)), (w, -v / t.val(w))))
+    sq = []
+    for p, y in zip(preds, targets.ravel().tolist()):
+        d = t.add_node(t.val(p) - y, (p, 1.0))
+        sq.append(t.add_node(t.val(d) * t.val(d), (d, 2.0 * t.val(d))))
+    w, loss = 1.0 / len(sq), 0.0
+    for q in sq:
+        loss += t.val(q) * w
+    out = t.add_node(loss, *[(q, w) for q in sq])
+    adj = t.adjoints(out)
+    return loss, [adj[i] for i in theta]
+
+
 class TestFoldOnTape:
     @pytest.mark.parametrize("combiner", ["sum", "product"])
     def test_mono_values_match_numpy(self, combiner):
@@ -207,11 +305,9 @@ class TestFoldOnTape:
         op = AbelianOp(MonotonicNet.initialized(3, 3, rng), combiner)
         sets = [rng.uniform(-3, 3, size=rng.integers(1, 5)) for _ in range(16)]
         tape = Tape()
-        staged = op.stage(tape)
-        outs = op.fold_batch_on_tape(staged, sets)
-        got = np.array([tape.val(o[0]) for o in outs])
+        out = op.fold_batch_on_tape(tape, tape.stage_params(op.store), sets)
         want = op.fold_many(sets)[:, 0]
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        np.testing.assert_allclose(tape.val(out)[:, 0], want, atol=1e-9)
 
     @pytest.mark.parametrize("combiner", ["sum", "product"])
     def test_flow_values_match_numpy(self, combiner):
@@ -219,33 +315,52 @@ class TestFoldOnTape:
         op = AbelianOp(CouplingFlow(4, 2, 6, rng, init="random"), combiner)
         sets = [rng.uniform(-2, 2, size=(rng.integers(1, 4), 4)) for _ in range(6)]
         tape = Tape()
-        staged = op.stage(tape)
-        outs = op.fold_batch_on_tape(staged, sets)
-        got = np.array([tape.vals(o) for o in outs])
-        np.testing.assert_allclose(got, op.fold_many(sets), rtol=1e-10, atol=1e-12)
+        out = op.fold_batch_on_tape(tape, tape.stage_params(op.store), sets)
+        np.testing.assert_allclose(tape.val(out), op.fold_many(sets), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("combiner", ["sum", "product"])
     def test_mono_fold_gradient(self, combiner):
-        # end-to-end gradient through phi, the combiner, and the inversion
+        # end-to-end gradient through phi, the combiner, and the inversion:
+        # three draws of net and multiset for every size from 2 to 12
         rng = np.random.default_rng(11)
-        op = AbelianOp(MonotonicNet.initialized(2, 2, rng), combiner)
-        ms = rng.uniform(-2, 2, size=3)
-        tape = Tape()
-        staged = op.stage(tape)
-        out = op.fold_batch_on_tape(staged, [ms])[0][0]
-        tape.backward(out)
-        g = op.store.grads.copy()
-        op.store.zero_grads()
+        checked = 0
+        while checked < 33:
+            op = AbelianOp(MonotonicNet.initialized(2, 2, rng), combiner)
+            ms = rng.uniform(-2, 2, size=2 + checked % 11)
+            if near_tie(op.phi, np.append(ms, op.fold(ms))):
+                continue
+            tape = Tape()
+            tape.backward(op.fold_batch_on_tape(tape, tape.stage_params(op.store), [ms]))
+            g = op.store.grads.copy()
+            op.store.zero_grads()
 
-        theta0 = op.store.values.copy()
+            theta0 = op.store.values.copy()
 
-        def f(theta):
-            op.store.values[:] = theta
-            y = float(op.fold(ms)[0])
-            op.store.values[:] = theta0
-            return y
+            def f(theta):
+                op.store.values[:] = theta
+                y = float(op.fold(ms)[0])
+                op.store.values[:] = theta0
+                return y
 
-        assert_grad_close(g, central_diff(f, theta0))
+            assert_grad_close(g, central_diff(f, theta0))
+            checked += 1
+
+    @pytest.mark.parametrize("combiner", ["sum", "product"])
+    def test_mono_fold_and_mse_match_the_scalar_reference_bitwise(self, combiner):
+        # the block's summation order is the scalar sweep's, so the loss
+        # and every gradient slot agree to the last bit, for ten batches
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            op = AbelianOp(MonotonicNet.initialized(4, 4, rng), combiner)
+            sets = [rng.uniform(-2, 2, size=rng.integers(1, 6)) for _ in range(32)]
+            targets = rng.normal(size=(32, 1))
+            tape = Tape()
+            out = op.fold_batch_on_tape(tape, tape.stage_params(op.store), sets)
+            loss = mse_on_tape(tape, out, targets)
+            tape.backward(loss)
+            want_loss, want_grads = scalar_fold_mse(op, sets, targets)
+            assert float(tape.val(loss)) == want_loss
+            assert op.store.grads.tolist() == want_grads
 
     def test_flow_fold_gradient(self):
         rng = np.random.default_rng(12)
@@ -253,10 +368,8 @@ class TestFoldOnTape:
         ms = rng.uniform(-1, 1, size=(3, 4))
         probe = rng.normal(size=4)
         tape = Tape()
-        staged = op.stage(tape)
-        out = op.fold_batch_on_tape(staged, [ms])[0]
-        proj = tape.affine(out, tape.consts(probe), tape.const(0.0))
-        tape.backward(proj)
+        out = op.fold_batch_on_tape(tape, tape.stage_params(op.store), [ms])
+        tape.backward(project(tape, out, probe))
         g = op.store.grads.copy()
         op.store.zero_grads()
 
@@ -351,6 +464,25 @@ class TestSizeGenerationCheck:
         assert out["k2"] == pytest.approx(0.5, abs=1e-9)
         assert out["measured"] <= out["bound"]
         assert out["epsilon"] < 1e-8
+
+    @pytest.mark.parametrize("given_large", [False, True])
+    def test_batched_folds_match_the_fold_loop(self, monkeypatch, given_large):
+        # the same samples in the same order, folded one multiset at a time
+        from abnn.abelian import size_generalization_check
+        from abnn.harness import TASKS, make_splits
+
+        op = AbelianOp(MonotonicNet.initialized(3, 3, np.random.default_rng(3)), "sum")
+        large = [ms for ms, _ in make_splits(TASKS["add"], 5)["large"]] if given_large else None
+
+        def check():
+            return size_generalization_check(op, TASKS["add"].fold, -5.0, 5.0, a=4, b=12,
+                                             seed=5, large_sets=large, n_small=500,
+                                             n_large=100)
+
+        got = check()
+        monkeypatch.setattr(op, "fold_many",
+                            lambda sets: np.stack([op.fold(ms) for ms in sets]))
+        assert check() == got
 
     def test_rejects_wrong_shape(self):
         from abnn.abelian import size_generalization_check

@@ -36,7 +36,7 @@ from abnn.harness import (
 from abnn.invertible import CouplingFlow, MonotonicNet
 from abnn.numcore import ParamStore, Tape, cosine, cosine_on_tape, mse_loss, mse_on_tape
 
-from gradcheck import central_diff, rel_err
+from gradcheck import central_diff, map_on_tape, project, rel_err, reshaped
 from test_algebra import planted_associative, random_symmetric_poly
 
 SEED = 7
@@ -156,7 +156,7 @@ class TestCriterion3Gradients:
                 continue
             err = self._fd_check(
                 net.store,
-                lambda tape: net.forward_on_tape(net.stage(tape), [[tape.const(x)]])[0][0],
+                lambda tape: map_on_tape(tape, net, x),  # through the source's forward VJP
                 lambda: net.forward(x))
             assert err < 1e-4
             worst = max(worst, err)
@@ -176,11 +176,10 @@ class TestCriterion3Gradients:
                 continue
 
             def tape_fn(tape):
-                staged = flow.stage(tape)
-                batch = [tape.consts(x)]
-                (out,) = (flow.forward_on_tape(staged, batch) if direction == "forward"
-                          else flow.inverse_on_tape(staged, batch))
-                return tape.affine(out, tape.consts(probe), tape.const(0.0))
+                params, batch = tape.stage_params(flow.store), tape.consts(x[None])
+                out = (flow.forward_on_tape(tape, params, batch) if direction == "forward"
+                       else flow.inverse_on_tape(tape, params, batch))
+                return project(tape, out, probe)
 
             def np_fn():
                 y = flow.forward(x) if direction == "forward" else flow.inverse(x)
@@ -204,9 +203,8 @@ class TestCriterion3Gradients:
                 continue
 
             def tape_fn(tape):
-                staged = model.stage(tape)
-                (out,) = model.fold_batch_on_tape(staged, [X])
-                return tape.affine(out, tape.consts(probe), tape.const(0.0))
+                out = model.fold_batch_on_tape(tape, tape.stage_params(model.store), [X])
+                return project(tape, out, probe)
 
             err = self._fd_check(model.store, tape_fn,
                                  lambda: float(probe @ model.forward(X)))
@@ -226,8 +224,7 @@ class TestCriterion3Gradients:
 
             if i % 2 == 0:  # mean squared error
                 def tape_fn(tape):
-                    base = tape.stage_params(store)
-                    preds = [[base + r * d + c for c in range(d)] for r in range(n)]
+                    preds = reshaped(tape, tape.stage_params(store), (n, d))
                     return mse_on_tape(tape, preds, target)
 
                 def np_fn():
@@ -236,9 +233,8 @@ class TestCriterion3Gradients:
                 w = rng.normal(size=n * d)
 
                 def tape_fn(tape):
-                    base = tape.stage_params(store)
                     return cosine_on_tape(  # a one-row batch
-                        tape, [range(base, base + n * d)], w[None])
+                        tape, reshaped(tape, tape.stage_params(store), (1, n * d)), w[None])
 
                 def np_fn():
                     return cosine(store.values, w)

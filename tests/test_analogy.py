@@ -216,10 +216,12 @@ class TestTraining:
         real = analogy.cosine_on_tape
         calls = []
 
-        def nan_after_first(tape, v_nodes, w):
+        def nan_after_first(tape, v, w):
             calls.append(1)
-            node = real(tape, v_nodes, w)
-            return node if len(calls) == 1 else tape.mul(node, tape.const(math.nan))
+            loss = real(tape, v, w)
+            if len(calls) == 1:
+                return loss
+            return tape.block(tape.val(loss) * math.nan, lambda g: [(loss, g * math.nan)])
 
         monkeypatch.setattr(analogy, "cosine_on_tape", nan_after_first)
         rng = np.random.default_rng(9)

@@ -5,7 +5,7 @@ from abnn.abelian import EmptyMultisetError
 from abnn.baseline import DeepSetsModel
 from abnn.numcore import Tape
 
-from gradcheck import assert_grad_close, central_diff
+from gradcheck import assert_grad_close, central_diff, project
 
 
 def identity_blocks(model: DeepSetsModel):
@@ -51,10 +51,10 @@ class TestDeepSetsForward:
         X = np.ones((3, 2))
         X[1, 0] = bad
         tape = Tape()
-        staged = model.stage(tape)
+        params = tape.stage_params(model.store)
         for call in (lambda: model.forward(X), lambda: model.fold(X),
                      lambda: model.fold_many([np.ones((3, 2)), X]),
-                     lambda: model.fold_batch_on_tape(staged, [X])):
+                     lambda: model.fold_batch_on_tape(tape, params, [X])):
             with pytest.raises(ValueError, match="non-finite element"):
                 call()
 
@@ -73,9 +73,8 @@ class TestDeepSetsTape:
         model = DeepSetsModel(2, 2, 6, 5, rng)
         X = rng.normal(size=(3, 2))
         tape = Tape()
-        staged = model.stage(tape)
-        (ids,) = model.fold_batch_on_tape(staged, [X])
-        np.testing.assert_allclose(tape.vals(ids), model.forward(X), rtol=1e-12)
+        out = model.fold_batch_on_tape(tape, tape.stage_params(model.store), [X])
+        np.testing.assert_allclose(tape.val(out)[0], model.forward(X), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -87,10 +86,8 @@ class TestDeepSetsTape:
             if model.selection_margin(X) < 3e-4:
                 continue
             tape = Tape()
-            staged = model.stage(tape)
-            (ids,) = model.fold_batch_on_tape(staged, [X])
-            proj = tape.affine(ids, tape.consts(probe), tape.const(0.0))
-            tape.backward(proj)
+            out = model.fold_batch_on_tape(tape, tape.stage_params(model.store), [X])
+            tape.backward(project(tape, out, probe))
             g = model.store.grads.copy()
             model.store.zero_grads()
 

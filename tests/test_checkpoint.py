@@ -115,13 +115,15 @@ class TestRoundTrip:
             assert np.array_equal(model.fold_many(sets), loaded.fold_many(sets))
 
 
-def write_forged(path, kind: str, header: dict, values) -> None:
-    """A well-formed file with a valid CRC around any header and values."""
+def write_forged(path, kind, header: dict, values) -> None:
+    """A well-formed file with a valid CRC around any kind (str or raw
+    bytes), header and values."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     values = np.asarray(values, dtype="<f8")
+    kind_b = kind if isinstance(kind, bytes) else kind.encode()
     body = b"".join([
         b"ABNN", struct.pack("<I", 1),
-        struct.pack("<H", len(kind)), kind.encode(),
+        struct.pack("<H", len(kind_b)), kind_b,
         struct.pack("<I", len(head)), head,
         struct.pack("<Q", values.size), values.tobytes(),
     ])
@@ -169,6 +171,13 @@ class TestForgedHeaders:
             write_forged(path, "agn-mono", header, np.zeros(count))
             with pytest.raises(CheckpointError, match="invalid 'agn-mono' header"):
                 load_checkpoint(path)
+
+    def test_kind_that_is_not_utf8_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "kind.abnn"
+        write_forged(path, b"\xff" * 8, {"k_groups": 3, "j_units": 3, "combiner": "sum"},
+                     np.zeros(19))
+        with pytest.raises(CheckpointError, match="is not UTF-8"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("n_layers", [1, 2, 4])
     def test_param_count_is_the_built_store_size(self, n_layers):

@@ -1,12 +1,17 @@
 import csv
 import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from abnn.abelian import AbelianOp
 from abnn.analogy import build_synthetic_analogy_corpus
+from abnn.checkpoint import save_checkpoint
 from abnn.cli import main
+from abnn.invertible import MonotonicNet
 
 
 def run_cli(*argv):
@@ -214,6 +219,24 @@ class TestAnalogy:
         _, rels = analogy_files
         assert run_cli("analogy-eval", "--embeddings", "/nope.txt",
                        "--relations", str(rels), "--kind", "wv") == 2
+
+    @pytest.mark.parametrize("case", ["kind-not-utf8", "kind-mismatch", "directory"])
+    def test_checkpoint_that_does_not_load_exits_2(self, analogy_files, tmp_path,
+                                                   capsys, case):
+        emb, rels = analogy_files
+        path = tmp_path / "model.abnn"
+        if case == "directory":
+            path.mkdir()
+        else:
+            save_checkpoint(AbelianOp(MonotonicNet.initialized(2, 2, np.random.default_rng(0)),
+                                      "sum"), path)
+            if case == "kind-not-utf8":  # b"agn-mono" -> 8 bytes of 0xff, CRC redone
+                data = path.read_bytes().replace(b"agn-mono", b"\xff" * 8)[:-4]
+                path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+        code = run_cli("analogy-eval", "--embeddings", str(emb), "--relations", str(rels),
+                       "--kind", "agn", "--model", str(path))
+        assert code == 2
+        assert f"error: cannot load checkpoint {path}" in capsys.readouterr().err
 
     def test_parse_error_exits_1(self, analogy_files, tmp_path, capsys):
         _, rels = analogy_files

@@ -8,7 +8,7 @@ from abnn.abelian import map_forward, map_inverse
 from abnn.invertible import CouplingFlow, InversionError, Mlp, MonotonicNet
 from abnn.numcore import ParamStore, Tape
 
-from gradcheck import assert_grad_close, central_diff
+from gradcheck import assert_grad_close, central_diff, map_on_tape, project
 
 
 def make_mono(w_tilde, bias, s=1.0):
@@ -142,9 +142,7 @@ class TestMonotonicTape:
         net = MonotonicNet.initialized(3, 4, rng)
         xs = rng.uniform(-8, 8, size=20)
         tape = Tape()
-        staged = net.stage(tape)
-        outs = net.forward_on_tape(staged, [[tape.const(x)] for x in xs])
-        got = [tape.val(out) for (out,) in outs]
+        got = tape.val(map_on_tape(tape, net, xs))
         np.testing.assert_allclose(got, net.forward(xs), rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -164,9 +162,7 @@ class TestMonotonicTape:
                     or sorted_units[-1] - sorted_units[-2] < 1e-3):
                 continue  # near a selection tie; finite differences would straddle it
             tape = Tape()
-            staged = net.stage(tape)
-            ((out,),) = net.forward_on_tape(staged, [[tape.const(x)]])
-            tape.backward(out)
+            tape.backward(map_on_tape(tape, net, x))
             g = net.store.grads.copy()
             net.store.zero_grads()
 
@@ -187,8 +183,7 @@ class TestMonotonicTape:
         net = MonotonicNet.initialized(2, 2, rng)
         y = 1.7
         tape = Tape()
-        staged = net.stage(tape)
-        ((out,),) = net.inverse_on_tape(staged, [[tape.const(y)]])
+        out = map_on_tape(tape, net, y, inverse=True)
         assert net.forward(tape.val(out)) == pytest.approx(y, abs=1e-9)
         tape.backward(out)
         g = net.store.grads.copy()
@@ -293,18 +288,16 @@ class TestCouplingTape:
         flow = CouplingFlow(4, 3, 8, rng, init="random")
         x = rng.normal(size=4)
         tape = Tape()
-        staged = flow.stage(tape)
-        (out_ids,) = flow.forward_on_tape(staged, [tape.consts(x)])
-        np.testing.assert_allclose(tape.vals(out_ids), flow.forward(x), rtol=1e-12)
+        out = flow.forward_on_tape(tape, tape.stage_params(flow.store), tape.consts(x[None]))
+        np.testing.assert_allclose(tape.val(out)[0], flow.forward(x), rtol=1e-12)
 
     def test_tape_inverse_matches_numpy(self):
         rng = np.random.default_rng(31)
         flow = CouplingFlow(4, 3, 8, rng, init="random")
         y = rng.normal(size=4)
         tape = Tape()
-        staged = flow.stage(tape)
-        (out_ids,) = flow.inverse_on_tape(staged, [tape.consts(y)])
-        np.testing.assert_allclose(tape.vals(out_ids), flow.inverse(y), rtol=1e-12)
+        out = flow.inverse_on_tape(tape, tape.stage_params(flow.store), tape.consts(y[None]))
+        np.testing.assert_allclose(tape.val(out)[0], flow.inverse(y), rtol=1e-12)
 
     # the flow cases are named by direction alone
     @pytest.mark.parametrize("kind,direction", [
@@ -322,17 +315,16 @@ class TestCouplingTape:
 
         def run(rows):
             tape = Tape()
-            staged = net.stage(tape)
-            batch = [tape.consts(x) for x in xs[rows]]
-            outs = (net.forward_on_tape(staged, batch) if direction == "forward"
-                    else net.inverse_on_tape(staged, batch))
-            projs = [tape.affine(o, tape.consts(p), tape.const(0.0))
-                     for o, p in zip(outs, probe[rows])]
-            tape.backward(tape.affine(projs, tape.consts(np.ones(len(projs))),
-                                      tape.const(0.0)))
+            if kind == "mono":  # a mono net has no tape method; use its VJPs
+                out = map_on_tape(tape, net, xs[rows], inverse=direction == "inverse")
+            else:
+                params, batch = tape.stage_params(net.store), tape.consts(xs[rows])
+                out = (net.forward_on_tape(tape, params, batch) if direction == "forward"
+                       else net.inverse_on_tape(tape, params, batch))
+            tape.backward(project(tape, out, probe[rows]))
             grads = net.store.grads.copy()
             net.store.zero_grads()
-            return np.array([tape.vals(o) for o in outs]), grads
+            return tape.val(out), grads
 
         vals, grads = run(slice(None))
         single = [run(slice(i, i + 1)) for i in range(len(xs))]
@@ -365,14 +357,11 @@ class TestCouplingTape:
                 continue  # on a ReLU kink or clamp edge; derivative undefined
 
             tape = Tape()
-            staged = flow.stage(tape)
-            batch = [tape.consts(row) for row in np.atleast_2d(x)]
-            outs = (flow.forward_on_tape(staged, batch) if direction == "forward"
-                    else flow.inverse_on_tape(staged, batch))
+            params, batch = tape.stage_params(flow.store), tape.consts(np.atleast_2d(x))
+            out = (flow.forward_on_tape(tape, params, batch) if direction == "forward"
+                   else flow.inverse_on_tape(tape, params, batch))
             # scalar projection so there is one output to differentiate
-            proj = tape.affine([node for out in outs for node in out],
-                               tape.consts(probe), tape.const(0.0))
-            tape.backward(proj)
+            tape.backward(project(tape, out, probe))
             g = flow.store.grads.copy()
             flow.store.zero_grads()
 

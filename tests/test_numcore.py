@@ -15,33 +15,87 @@ from abnn.numcore import (
     mse_on_tape,
 )
 
-from gradcheck import assert_grad_close, central_diff
+from gradcheck import assert_grad_close, central_diff, reshaped
 
 
-def grad_of(f, values):
-    """Run f on a fresh tape over staged params, return store.grads."""
+def vector_grad_of(f, values):
+    """Run f on a fresh tape over one staged parameter vector, return
+    store.grads."""
     store = ParamStore(len(values))
     store.values[:] = values
     tape = Tape()
-    base = tape.stage_params(store)
-    out = f(tape, [base + i for i in range(len(values))])
-    tape.backward(out)
+    tape.backward(f(tape, tape.stage_params(store)))
     return store.grads.copy()
+
+
+def grad_of(f, values):
+    """As vector_grad_of, with f taking one scalar handle per parameter."""
+    return vector_grad_of(lambda t, h: f(t, [pick(t, h, i) for i in range(len(values))]),
+                          values)
+
+
+# Scalar operations as one-output blocks, to build composite chains.
+
+
+def pick(t, h, i):
+    return t.block(t.val(h)[i], lambda g: [(h, g, i)])
+
+
+def add(t, a, b):
+    return t.block(t.val(a) + t.val(b), lambda g: [(a, g), (b, g)])
+
+
+def sub(t, a, b):
+    return t.block(t.val(a) - t.val(b), lambda g: [(a, g), (b, -g)])
+
+
+def mul(t, a, b):
+    va, vb = t.val(a), t.val(b)
+    return t.block(va * vb, lambda g: [(a, g * vb), (b, g * va)])
+
+
+def div(t, a, b):
+    va, vb = t.val(a), t.val(b)
+    v = va / vb
+    return t.block(v, lambda g: [(a, g / vb), (b, -g * v / vb)])
+
+
+def neg(t, a):
+    return t.block(-t.val(a), lambda g: [(a, -g)])
+
+
+def square(t, a):
+    va = t.val(a)
+    return t.block(va * va, lambda g: [(a, 2.0 * va * g)])
+
+
+def exp(t, a):
+    v = np.exp(t.val(a))
+    return t.block(v, lambda g: [(a, g * v)])
+
+
+def affine(t, xs, ws, bias):
+    """``sum(w_i * x_i) + bias`` over scalar handles."""
+    vx = [t.val(x) for x in xs]
+    vw = [t.val(w) for w in ws]
+    return t.block(sum(x * w for x, w in zip(vx, vw)) + t.val(bias),
+                   lambda g: ([(bias, g)] + [(x, g * w) for x, w in zip(xs, vw)]
+                              + [(w, g * x) for x, w in zip(vx, ws)]))
 
 
 class TestBackward:
     def test_square(self):
-        g = grad_of(lambda t, p: t.square(p[0]), [3.0])
+        g = grad_of(lambda t, p: square(t, p[0]), [3.0])
         assert g[0] == pytest.approx(6.0, abs=1e-12)
 
     def test_constant_is_unreachable(self):
-        g = grad_of(lambda t, p: t.const(4.25), [3.0])
+        g = grad_of(lambda t, p: t.consts(4.25), [3.0])
         assert g[0] == 0.0
 
     def test_product_plus_exp(self):
         # f(t1, t2) = t1*t2 + exp(t1) at (1, 2)
         def f(t, p):
-            return t.add(t.mul(p[0], p[1]), t.exp(p[0]))
+            return add(t, mul(t, p[0], p[1]), exp(t, p[0]))
 
         g = grad_of(f, [1.0, 2.0])
         assert g[0] == pytest.approx(2.0 + math.exp(1.0), abs=1e-12)
@@ -52,7 +106,7 @@ class TestBackward:
 
     def test_dangling_node(self):
         tape = Tape()
-        tape.const(1.0)
+        tape.consts(1.0)
         with pytest.raises(DanglingNodeError, match="dangling node"):
             tape.backward(17)
 
@@ -60,76 +114,84 @@ class TestBackward:
         store = ParamStore(1)
         store.values[:] = [2.0]
         tape = Tape()
-        b1 = tape.stage_params(store)
-        b2 = tape.stage_params(store)
-        out = tape.mul(b1, b2)  # f = theta * theta via two stagings
+        b1 = pick(tape, tape.stage_params(store), 0)
+        b2 = pick(tape, tape.stage_params(store), 0)
+        out = mul(tape, b1, b2)  # f = theta * theta via two stagings
         tape.backward(out)
         assert store.grads[0] == pytest.approx(4.0)
 
     def test_block_chains_with_scalar_nodes(self):
         # f = u*w + exp(u + w) with u = p0^2 and w = p1*p2; the pair
-        # (u*w, u + w) is one block over a scalar node, and w is a block
-        # whose product rule adds into the staged range
+        # (u*w, u + w) is one two-output block over one-output blocks, read
+        # back through index contributions
         def f(t, p):
-            u = t.square(p[0])
+            u = square(t, p[0])
             v1, v2 = t.val(p[1]), t.val(p[2])
-            (w,) = t.block([v1 * v2],
-                           lambda g: [(range(p[1], p[2] + 1), g * np.array([v2, v1]))])
+            w = t.block(v1 * v2, lambda g: [(p[1], g * v2), (p[2], g * v1)])
             vu, vw = t.val(u), t.val(w)
-            prod, total = t.block(
-                [vu * vw, vu + vw],
-                lambda g: [([u, w], np.array([g[0] * vw + g[1], g[0] * vu + g[1]]))])
-            return t.add(prod, t.exp(total))
+            pair = t.block([vu * vw, vu + vw],
+                           lambda g: [(u, g[0] * vw + g[1]), (w, g[0] * vu + g[1])])
+            return add(t, pick(t, pair, 0), exp(t, pick(t, pair, 1)))
 
         values = [1.3, -0.7, 0.4]
         fd = central_diff(lambda x: x[0] ** 2 * x[1] * x[2]
                           + math.exp(x[0] ** 2 + x[1] * x[2]), values, h=1e-6)
         assert_grad_close(grad_of(f, values), fd)
 
+    def test_contributions_add_in_reverse_block_order(self):
+        # three blocks add 1, 1e16 and -1e16 into slot 0 through a slice;
+        # backward visits the last block first, so the adjoint is
+        # (-1e16 + 1e16) + 1 = 1, where recording order would give 0
+        store = ParamStore(2)
+        tape = Tape()
+        params = tape.stage_params(store)
+        parts = [tape.block(0.0, lambda g, k=k: [(params, np.array([k]) * g, slice(0, 1))])
+                 for k in (1.0, 1e16, -1e16)]
+        out = tape.block(0.0, lambda g: [(h, g) for h in parts])
+        tape.backward(out)
+        assert store.grads.tolist() == [1.0, 0.0]
+
 
 def tanh_from_exp(t, u):
-    """tanh(u) = (1 - e^(-2u)) / (1 + e^(-2u)) from the tape's primitives."""
-    e = t.exp(t.neg(t.add(u, u)))
-    one = t.const(1.0)
-    return t.div(t.sub(one, e), t.add(one, e))
+    """tanh(u) = (1 - e^(-2u)) / (1 + e^(-2u)) from one-output blocks."""
+    e = exp(t, neg(t, add(t, u, u)))
+    one = t.consts(1.0)
+    return div(t, sub(t, one, e), add(t, one, e))
 
 
 def maximum(t, a, b):
     """max(a, b) as a one-output block; a tie routes the gradient to a."""
     pick = a if t.val(a) >= t.val(b) else b
-    (out,) = t.block([t.val(pick)], lambda g: [([pick], g)])
-    return out
+    return t.block(t.val(pick), lambda g: [(pick, g)])
 
 
 def minimum(t, a, b):
     """min(a, b) as a one-output block; a tie routes the gradient to a."""
     pick = a if t.val(a) <= t.val(b) else b
-    (out,) = t.block([t.val(pick)], lambda g: [([pick], g)])
-    return out
+    return t.block(t.val(pick), lambda g: [(pick, g)])
 
 
 def sqrt(t, a):
     """sqrt(a) as a one-output block with derivative 1 / (2 sqrt(a))."""
     v = math.sqrt(t.val(a))
-    (out,) = t.block([v], lambda g: [([a], g * 0.5 / v)])
-    return out
+    return t.block(v, lambda g: [(a, g * 0.5 / v)])
 
 
 class TestPrimitiveGradients:
-    """Reverse-mode vs central differences for composite chains of scalar
-    nodes and one-output blocks."""
+    """Reverse-mode vs central differences for composite chains of
+    one-output blocks."""
 
     COMPOSITES = {
-        "rational": lambda t, p: t.div(t.add(t.mul(p[0], p[1]), t.const(3.0)),
-                                       t.add(t.square(p[2]), t.const(1.5))),
-        "tanh_relu": lambda t, p: t.add(tanh_from_exp(t, t.mul(p[0], p[1])),
-                                        maximum(t, p[2], t.const(0.0))),
+        "rational": lambda t, p: div(t, add(t, mul(t, p[0], p[1]), t.consts(3.0)),
+                                     add(t, square(t, p[2]), t.consts(1.5))),
+        "tanh_relu": lambda t, p: add(t, tanh_from_exp(t, mul(t, p[0], p[1])),
+                                      maximum(t, p[2], t.consts(0.0))),
         "minmax": lambda t, p: minimum(t, maximum(t, p[0], p[1]),
-                                       t.add(p[2], t.const(0.25))),
-        "sqrt_chain": lambda t, p: sqrt(t, t.add(t.square(p[0]),
-                                                 t.add(t.square(p[1]),
-                                                       t.square(p[2])))),
-        "affine": lambda t, p: t.exp(t.affine(p[:2], p[1:], t.const(0.1))),
+                                       add(t, p[2], t.consts(0.25))),
+        "sqrt_chain": lambda t, p: sqrt(t, add(t, square(t, p[0]),
+                                               add(t, square(t, p[1]),
+                                                   square(t, p[2])))),
+        "affine": lambda t, p: exp(t, affine(t, p[:2], p[1:], t.consts(0.1))),
     }
 
     NUMPY_EQUIV = {
@@ -237,8 +299,7 @@ class TestMseLoss:
         pred = rng.normal(size=(4, 3))
         target = rng.normal(size=(4, 3))
         tape = Tape()
-        nodes = [[tape.const(v) for v in row] for row in pred]
-        loss = mse_on_tape(tape, nodes, target)
+        loss = mse_on_tape(tape, tape.consts(pred), target)
         assert tape.val(loss) == pytest.approx(mse_loss(pred, target), rel=1e-12)
 
     def test_tape_gradient(self):
@@ -246,10 +307,10 @@ class TestMseLoss:
         target = rng.normal(size=(2, 2))
 
         def f(t, p):
-            return mse_on_tape(t, [[p[0], p[1]], [p[2], p[3]]], target)
+            return mse_on_tape(t, reshaped(t, p, (2, 2)), target)
 
         x = rng.normal(size=4)
-        g = grad_of(f, x)
+        g = vector_grad_of(f, x)
         fd = central_diff(
             lambda v: mse_loss(v.reshape(2, 2), target), x)
         assert_grad_close(g, fd)
@@ -287,17 +348,14 @@ class TestCosine:
         w = rng.normal(size=4)
 
         def f(t, p):
-            return cosine_on_tape(t, [p], w[None])  # a one-row batch
+            return cosine_on_tape(t, reshaped(t, p, (1, 4)), w[None])  # a one-row batch
 
         x = rng.normal(size=4)
         tape = Tape()
-        store = ParamStore(4)
-        store.values[:] = x
-        base = tape.stage_params(store)
-        node = f(tape, [base + i for i in range(4)])
+        node = f(tape, tape.consts(x))
         assert tape.val(node) == pytest.approx(cosine(x, w), rel=1e-12)
 
-        g = grad_of(f, x)
+        g = vector_grad_of(f, x)
         fd = central_diff(lambda v: cosine(v, w), x)
         assert_grad_close(g, fd)
 
@@ -306,7 +364,7 @@ class TestCosine:
         w = rng.normal(size=(5, 3))
 
         def f(t, p):
-            return cosine_on_tape(t, [p[r * 3 : (r + 1) * 3] for r in range(5)], w)
+            return cosine_on_tape(t, reshaped(t, p, (5, 3)), w)
 
         x = rng.normal(size=15)
         tape = Tape()
@@ -314,13 +372,13 @@ class TestCosine:
         want = np.mean([cosine(v, u) for v, u in zip(x.reshape(5, 3), w)])
         assert tape.val(node) == pytest.approx(want, rel=1e-12)
 
-        g = grad_of(f, x)
+        g = vector_grad_of(f, x)
         fd = central_diff(
             lambda v: np.mean([cosine(r, u) for r, u in zip(v.reshape(5, 3), w)]), x)
         assert_grad_close(g, fd)
 
     def test_tape_zero_row_is_an_error(self):
         tape = Tape()
-        rows = [tape.consts([1.0, 2.0]), tape.consts([0.0, 0.0])]
+        rows = tape.consts([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="zero vector"):
             cosine_on_tape(tape, rows, np.ones((2, 2)))
