@@ -34,6 +34,10 @@ __all__ = [
 SUM = "sum"
 PRODUCT = "product"
 
+# Multisets per phi pass in fold_many, one training batch: a mono phi
+# builds an (elements, K, J) array, so this bounds its memory.
+FOLD_CHUNK = 32
+
 
 def map_forward(phi, v: np.ndarray) -> np.ndarray:
     """phi on an array of (..., d) vectors; a d=1 net maps the scalars."""
@@ -149,60 +153,66 @@ class AbelianOp:
         return map_inverse(self.phi, acc[None])[0]
 
     def fold_many(self, multisets) -> np.ndarray:
-        """Vectorized fold over a list of multisets; groups equal sizes."""
-        n = len(multisets)
-        out = np.empty((n, self.d))
-        by_size: dict[int, list[int]] = {}
-        for i, ms in enumerate(multisets):
-            by_size.setdefault(len(ms), []).append(i)
-        for m, idx in by_size.items():
-            if m == 0:
-                raise EmptyMultisetError("empty multiset")
-            block = require_finite(np.stack([self._as_multiset(multisets[i]) for i in idx]))
-            f = map_forward(self.phi, block)  # (g, m, d)
-            acc = f[:, 0]
-            for e in range(1, m):
-                acc = self._combine_vals(acc, f[:, e])
-            out[idx] = map_inverse(self.phi, acc)
+        """Folds of a list of multisets as (n, d) rows: the padded fold of
+        at most ``FOLD_CHUNK`` multisets per phi pass, then phi^{-1} on the
+        folded rows. The padding is exact, so each row is the left fold of
+        its own multiset in stored order, as in ``fold``."""
+        out = np.empty((len(multisets), self.d))
+        for s in range(0, len(multisets), FOLD_CHUNK):
+            accs = self._padded_fold(multisets[s : s + FOLD_CHUNK],
+                                     lambda x: (map_forward(self.phi, x), None))[0]
+            out[s : s + FOLD_CHUNK] = map_inverse(self.phi, accs[-1])
         return out
+
+    def _padded_fold(self, multisets, phi_pass):
+        """The fold body of ``fold_many`` and ``fold_batch_on_tape``.
+
+        Every element is staged as one (N, d) array and ``phi_pass`` maps
+        it to ``(phi values, vjp)`` in one call. The values are laid out as
+        (n, width, d), padded with the combiner's exact identity
+        (``acc + -0.0`` and ``acc * 1.0`` return ``acc`` bit for bit, signed
+        zeros included), and left-folded column by column in stored order.
+        Returns the running folds (the last one is the result), the padded
+        values, the mask of their entries that hold elements, and the vjp.
+        """
+        if any(len(ms) == 0 for ms in multisets):
+            raise EmptyMultisetError("empty multiset")
+        sets = [self._as_multiset(ms) for ms in multisets]
+        counts = np.array([len(X) for X in sets])
+        mask = np.arange(counts.max()) < counts[:, None]
+        f, vjp_f = phi_pass(require_finite(np.concatenate(sets)))
+        padded = np.full(mask.shape + (self.d,), -0.0 if self.combiner == SUM else 1.0)
+        padded[mask] = f
+        accs = [padded[:, 0]]
+        for e in range(1, padded.shape[1]):
+            accs.append(self._combine_vals(accs[-1], padded[:, e]))
+        return accs, padded, mask, vjp_f
 
     # -- training path --------------------------------------------------------
 
     def fold_batch_on_tape(self, tape: Tape, params: int, multisets) -> int:
         """Folds of a whole batch as one tape block of shape (n, d).
 
-        phi runs on every element, each multiset is padded with the
-        combiner's identity (exact: ``acc + 0.0`` and ``acc * 1.0``) and
-        left-folded column by column in stored order, and phi^{-1} runs on
-        the folded rows. The block's VJP chains phi's two VJPs through the
-        combiner, and phi sums both sides' parameter terms in one pass.
+        The padded fold of ``fold_many`` runs on phi's VJP pass over every
+        element, and phi^{-1} runs on the folded rows. The block's VJP
+        chains phi's two VJPs through the combiner, and phi sums both
+        sides' parameter terms in one pass.
         """
-        if any(len(ms) == 0 for ms in multisets):
-            raise EmptyMultisetError("empty multiset")
-        sets = [self._as_multiset(ms) for ms in multisets]
-        counts = np.array([len(X) for X in sets])
-        rows = np.repeat(np.arange(len(sets)), counts)
-        cols = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         phi = self.phi
-        f, vjp_f = phi.forward_with_vjp(require_finite(np.concatenate(sets)))
-        padded = np.full((len(sets), counts.max(), self.d), 0.0 if self.combiner == SUM else 1.0)
-        padded[rows, cols] = f
-        accs = [padded[:, 0]]
-        for e in range(1, padded.shape[1]):
-            accs.append(self._combine_vals(accs[-1], padded[:, e]))
+        accs, padded, mask, vjp_f = self._padded_fold(multisets, phi.forward_with_vjp)
         out, vjp_i = phi.inverse_with_vjp(accs[-1])
 
         def vjp(g):
             part_i, g = vjp_i(g)
             if self.combiner == SUM:  # each element's phi takes its fold's adjoint
-                g_f = g[rows]
+                g_f = np.broadcast_to(g[:, None], padded.shape)[mask]
             else:  # back through acc_e = acc_{e-1} * padded_e
                 g_pad = np.empty_like(padded)
                 for e in range(padded.shape[1] - 1, 0, -1):
                     g_pad[:, e] = accs[e - 1] * g
                     g = padded[:, e] * g
                 g_pad[:, 0] = g
-                g_f = g_pad[rows, cols]
+                g_f = g_pad[mask]
             part_f, _ = vjp_f(g_f)
             return [(params, phi.param_grads([part_i, part_f]))]
 

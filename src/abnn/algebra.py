@@ -4,9 +4,7 @@ A symmetric polynomial binary operation is associative exactly when it is
 a constant, a shifted addition ``alpha + x + y``, or the bilinear family
 ``beta(beta-1)/gamma + beta(x+y) + gamma*x*y``. This module checks
 associativity by exact expansion of ``(x*y)*z`` against ``x*(y*z)``,
-classifies associative inputs into those canonical forms, and conjugates a
-canonical form through an invertible map to build ground-truth semigroup
-operations.
+and classifies associative inputs into those canonical forms.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .abelian import map_forward, map_inverse
-
 __all__ = [
     "SymPoly2",
     "AssociativityResult",
@@ -26,8 +22,6 @@ __all__ = [
     "MAX_DEGREE",
     "is_associative",
     "classify",
-    "CanonicalSemigroupOp",
-    "canonical_semigroup_op",
 ]
 
 MAX_DEGREE = 4
@@ -115,14 +109,6 @@ class CanonicalForm:
         beta, gamma = float(beta), float(gamma)
         return cls("bilinear", alpha=beta * (beta - 1.0) / gamma,
                    beta=beta, gamma=gamma)
-
-    def apply(self, r, s):
-        """Evaluate the form elementwise on already-mapped operands."""
-        if self.kind == "constant":
-            return np.broadcast_to(np.float64(self.alpha), np.shape(r)).copy()
-        if self.kind == "additive":
-            return self.alpha + r + s
-        return self.alpha + self.beta * (r + s) + self.gamma * r * s
 
 
 def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,59 +198,3 @@ def classify(p: SymPoly2, tol: float = 1e-9):
     if abs(beta) <= tol:
         return CanonicalForm.constant(alpha)
     raise RuntimeError("associative polynomial outside the three canonical forms")
-
-
-class CanonicalSemigroupOp:
-    """Semigroup operation rho^{-1}(form(rho(x), rho(y))) on R^d.
-
-    Coefficients may be scalars or per-coordinate vectors; the bilinear
-    form requires gamma nonzero in every coordinate. ``rho=None`` means
-    the identity map.
-    """
-
-    def __init__(self, kind: str, rho=None, alpha=0.0, beta=0.0, gamma=0.0, d=None):
-        self.kind = kind
-        self.rho = rho
-        self.d = rho.d if rho is not None else (d or 1)
-        self.alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (self.d,))
-        self.beta = np.broadcast_to(np.asarray(beta, dtype=np.float64), (self.d,))
-        self.gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (self.d,))
-        if kind not in ("constant", "additive", "bilinear"):
-            raise ValueError(f"unknown canonical kind {kind!r}")
-        if kind == "bilinear" and np.any(self.gamma == 0.0):
-            raise ValueError("zero gamma coordinate")
-
-    @property
-    def combiner(self) -> str:
-        return f"canonical-{self.kind}"
-
-    def _rho_fwd(self, v):
-        return v if self.rho is None else map_forward(self.rho, v)
-
-    def _rho_inv(self, v):
-        return v if self.rho is None else map_inverse(self.rho, v)
-
-    def combine(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.ndim == 0:
-            x = x[None]
-        if y.ndim == 0:
-            y = y[None]
-        if x.shape != y.shape or x.shape[-1] != self.d:
-            raise ValueError("dimension mismatch")
-        r = self._rho_fwd(x)
-        s = self._rho_fwd(y)
-        if self.kind == "constant":
-            t = np.broadcast_to(self.alpha, r.shape).copy()
-        elif self.kind == "additive":
-            t = r + s + self.alpha
-        else:
-            const = self.beta * (self.beta - 1.0) / self.gamma
-            t = const + self.beta * (r + s) + self.gamma * r * s
-        return self._rho_inv(t)
-
-
-def canonical_semigroup_op(form: CanonicalForm, rho=None, d=None) -> CanonicalSemigroupOp:
-    return CanonicalSemigroupOp(form.kind, rho=rho, alpha=form.alpha,
-                                beta=form.beta, gamma=form.gamma, d=d)

@@ -57,30 +57,30 @@ class DeepSetsModel:
         return X[np.lexsort(X.T[::-1])]
 
     def forward(self, X) -> np.ndarray:
-        X = self._canonical(X)
-        feats = self.inner.forward_np(X)
-        pooled = feats[0].copy()
-        for i in range(1, len(feats)):
-            pooled += feats[i]
-        return self.outer.forward_np(pooled)
+        return self.fold_many([X])[0]
 
     def fold(self, X) -> np.ndarray:
-        return self.forward(X)
+        return self.fold_many([X])[0]
 
     def fold_many(self, multisets) -> np.ndarray:
-        out = np.empty((len(multisets), self.d))
-        by_size: dict[int, list[int]] = {}
-        for i, ms in enumerate(multisets):
-            by_size.setdefault(len(ms), []).append(i)
-        for m, idx in by_size.items():
-            block = np.stack([self._canonical(multisets[i]) for i in idx])
-            feats = self.inner.forward_np(block.reshape(-1, self.d))
-            feats = feats.reshape(len(idx), m, self.middle_dim)
-            pooled = feats[:, 0].copy()
-            for e in range(1, m):
-                pooled += feats[:, e]
-            out[idx] = self.outer.forward_np(pooled)
-        return out
+        """The model on a list of multisets as (n, d) rows."""
+        if len(multisets) == 0:
+            return np.empty((0, self.d))
+        return self._fold(multisets, np.asarray, Mlp.forward_np,
+                          lambda feats, starts, counts: np.add.reduceat(feats, starts, axis=0))
+
+    def _fold(self, multisets, stage, run, pool):
+        """The fold body of ``fold_many`` and ``fold_batch_on_tape``.
+
+        Every multiset is sorted canonically and ``stage`` takes all their
+        elements as one array. ``run(mlp, x)`` applies the inner block to
+        them, ``pool(feats, starts, counts)`` sums each multiset's rows by
+        ``np.add.reduceat``, and ``run`` applies the outer block to the sums.
+        """
+        sets = [self._canonical(X) for X in multisets]
+        counts = [len(X) for X in sets]
+        feats = run(self.inner, stage(np.concatenate(sets)))
+        return run(self.outer, pool(feats, np.cumsum([0] + counts[:-1]), counts))
 
     def selection_margin(self, X) -> float:
         """Distance of the nearest hidden ReLU pre-activation from zero."""
@@ -92,12 +92,12 @@ class DeepSetsModel:
     # -- training path ---------------------------------------------------------
 
     def fold_batch_on_tape(self, tape: Tape, params: int, multisets) -> int:
-        """Every element through the inner block at once, one sum-pooling
-        block in canonical order, then the outer block on the pooled rows."""
-        sets = [self._canonical(X) for X in multisets]
-        feats = self.inner.forward_on_tape(tape, params, tape.consts(np.concatenate(sets)))
-        counts = [len(X) for X in sets]
-        starts = np.cumsum([0] + counts[:-1])
-        sums = np.add.reduceat(tape.val(feats), starts, axis=0)
-        pooled = tape.block(sums, lambda g: [(feats, np.repeat(g, counts, axis=0))])
-        return self.outer.forward_on_tape(tape, params, pooled)
+        """The fold of ``fold_many`` as three tape blocks: the inner block on
+        every element at once, the sum pooling, and the outer block."""
+
+        def pool(feats, starts, counts):
+            return tape.block(np.add.reduceat(tape.val(feats), starts, axis=0),
+                              lambda g: [(feats, np.repeat(g, counts, axis=0))])
+
+        return self._fold(multisets, tape.consts,
+                          lambda mlp, x: mlp.forward_on_tape(tape, params, x), pool)

@@ -10,18 +10,23 @@ Layout (all integers little endian)::
     crc32   u32 over every preceding byte
 
 Parameters round-trip bit for bit; any flipped byte fails the checksum
-rather than loading silently. Model families register a header writer, a
-builder and a parameter count under their ``kind`` string; builders ignore
-header keys they do not read, so older version-1 files with retired keys
-still load. The count is checked against the file before anything is
-built, so a forged header cannot trigger a huge allocation, and a header
-the builder rejects (say, flow ``perms`` that are not permutations) is a
+rather than loading silently. A save writes a temporary file next to the
+target and renames it over the target, so a failed save leaves the old
+file as it was. Model families register a header writer, a builder and a
+parameter count under their ``kind`` string; builders ignore header keys
+they do not read, so older version-1 files with retired keys still load.
+The count is checked against the file before anything is built, so a
+forged header cannot trigger a huge allocation, and a header the builder
+rejects (say, flow ``perms`` that are not permutations) is a
 :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 import struct
 import zlib
 
@@ -170,9 +175,17 @@ def save_checkpoint(model, path) -> None:
         struct.pack("<I", len(header)), header,
         struct.pack("<Q", values.size), values.tobytes(),
     ])
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -101,8 +101,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="run seed")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="parallel workers where the task allows")
 
 
 def _add_train_flags(sub):
@@ -353,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--task", required=True)
     s.add_argument("--model", default="agn")
     s.add_argument("--trials", type=int, default=16)
+    s.add_argument("--threads", type=int, default=1,
+                   help="parallel trial workers, at most the CPU count")
     _add_common(s)
     _add_train_flags(s)
     s.set_defaults(func=cmd_search)

@@ -457,7 +457,7 @@ class CouplingFlow:
         inverse maps ``y2 -> (y2 - t) * exp(-a)`` and un-permutes, with
         ``a = clamp(s(h1))`` and ``t = t(h1)`` from the pass-through half h1.
         Given a list ``tape_layers``, each layer appends what its
-        vector-Jacobian product needs (see ``_on_tape``).
+        vector-Jacobian product needs (see ``_with_vjp``).
         """
         c = self.clamp
         for i in (range(self.n_layers - 1, -1, -1) if inverse else range(self.n_layers)):

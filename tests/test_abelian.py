@@ -5,6 +5,7 @@ import pytest
 
 from abnn.abelian import (
     AbelianOp,
+    FOLD_CHUNK,
     EmptyMultisetError,
     LipschitzEstimate,
     NotAGroupError,
@@ -13,6 +14,7 @@ from abnn.abelian import (
     estimate_inverse_lipschitz,
     size_generalization_bound,
 )
+from abnn.baseline import DeepSetsModel
 from abnn.invertible import CouplingFlow, MonotonicNet
 from abnn.numcore import Tape, mse_on_tape
 
@@ -149,6 +151,17 @@ class TestFold:
         with pytest.raises(EmptyMultisetError, match="empty multiset"):
             op.fold_many([np.zeros((0, 1))])
 
+    @pytest.mark.parametrize("family", ["mono", "flow", "deepsets"])
+    def test_fold_many_of_no_multisets_and_of_an_empty_one(self, family):
+        rng = np.random.default_rng(12)
+        model = {"mono": lambda: AbelianOp(MonotonicNet.initialized(3, 3, rng), "sum"),
+                 "flow": lambda: AbelianOp(CouplingFlow(4, 2, 6, rng), "product"),
+                 "deepsets": lambda: DeepSetsModel(3, 2, 4, 4, rng)}[family]()
+        out = model.fold_many([])
+        assert out.shape == (0, model.d)
+        with pytest.raises(EmptyMultisetError, match="empty multiset"):
+            model.fold_many([np.ones((2, model.d)), np.zeros((0, model.d))])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         for op in random_ops(rng, n_each=1):
@@ -173,6 +186,16 @@ class TestFold:
             batch = op.fold_many(sets)
             single = np.stack([op.fold(ms) for ms in sets])
             assert np.allclose(batch, single, atol=1e-9)
+
+    @pytest.mark.parametrize("combiner", ["sum", "product"])
+    def test_mono_fold_many_is_fold_bitwise_across_chunks(self, combiner):
+        # padding with the combiner's identity changes no bit of a fold
+        rng = np.random.default_rng(13)
+        op = AbelianOp(MonotonicNet.initialized(4, 4, rng), combiner)
+        sets = [rng.uniform(-2, 2, size=rng.integers(1, 13))
+                for _ in range(2 * FOLD_CHUNK + 5)]
+        single = np.stack([op.fold(ms) for ms in sets])
+        assert op.fold_many(sets).tobytes() == single.tobytes()
 
 
 class TestNonFiniteElements:

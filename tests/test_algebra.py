@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from abnn.abelian import AbelianOp
 from abnn.algebra import (
     CanonicalForm,
     NotAssociative,
     SymPoly2,
-    canonical_semigroup_op,
     classify,
     is_associative,
 )
-from abnn.invertible import CouplingFlow, MonotonicNet
 
 
 def poly(grid):
@@ -136,55 +133,3 @@ class TestClassify:
                     assert np.max(np.abs(c[2:, :])) <= 1e-12
                     assert np.max(np.abs(c[:, 2:])) <= 1e-12
         assert n_assoc >= 2000 // 5  # every planted one was found
-
-
-class TestCanonicalSemigroupOp:
-    def test_identity_rho_additive_zero_is_addition(self):
-        op = canonical_semigroup_op(CanonicalForm.additive(0.0))
-        assert op.combine(2.0, 3.0)[0] == pytest.approx(5.0)
-
-    def test_identity_rho_bilinear_product(self):
-        # beta=0, gamma=1 is plain multiplication
-        op = canonical_semigroup_op(CanonicalForm.bilinear(0.0, 1.0))
-        assert op.combine(2.0, 3.0)[0] == pytest.approx(6.0)
-
-    def test_identity_rho_half_bilinear(self):
-        op = canonical_semigroup_op(CanonicalForm.bilinear(1.0, 0.5))
-        assert op.combine(2.0, 3.0)[0] == pytest.approx(2.0 + 3.0 + 3.0)
-
-    def test_zero_gamma_coordinate_rejected(self):
-        from abnn.algebra import CanonicalSemigroupOp
-
-        with pytest.raises(ValueError, match="zero gamma"):
-            CanonicalSemigroupOp("bilinear", d=2, beta=1.0, gamma=[1.0, 0.0])
-
-    def test_additive_with_rho_matches_group_network(self):
-        # conjugated addition with an offset is exactly a sum-combiner op
-        # whose map is rho shifted by alpha
-        rng = np.random.default_rng(3)
-        rho = MonotonicNet.initialized(3, 3, rng)
-        op = canonical_semigroup_op(CanonicalForm.additive(0.7), rho=rho)
-        x, y = rng.uniform(-2, 2, size=(2, 50, 1))
-        got = op.combine(x, y)
-        # phi(t) = rho(t) + alpha/2 twice gives rho(x)+rho(y)+alpha inside
-        want = rho.inverse_batch(
-            rho.forward(x[:, 0]) + rho.forward(y[:, 0]) + 0.7)[:, None]
-        assert np.max(np.abs(got - want)) < 1e-8
-
-    @pytest.mark.parametrize("kind", ["additive", "bilinear"])
-    def test_laws_with_invertible_rho(self, kind):
-        rng = np.random.default_rng(4)
-        for rho in (MonotonicNet.initialized(3, 3, rng),
-                    CouplingFlow(4, 2, 6, rng, init="random")):
-            if kind == "additive":
-                form = CanonicalForm.additive(float(rng.uniform(-1, 1)))
-            else:
-                form = CanonicalForm.bilinear(float(rng.uniform(-1, 1)),
-                                              float(rng.uniform(0.5, 1.5)))
-            op = canonical_semigroup_op(form, rho=rho)
-            x, y, z = (rng.uniform(-1.5, 1.5, size=(300, op.d)) for _ in range(3))
-            comm = np.abs(op.combine(x, y) - op.combine(y, x))
-            assert np.max(comm) < 1e-8
-            left = op.combine(op.combine(x, y), z)
-            right = op.combine(x, op.combine(y, z))
-            assert np.max(np.abs(left - right)) < 1e-6

@@ -76,6 +76,17 @@ class TestDeepSetsTape:
         out = model.fold_batch_on_tape(tape, tape.stage_params(model.store), [X])
         np.testing.assert_allclose(tape.val(out)[0], model.forward(X), rtol=1e-12)
 
+    def test_fold_many_is_the_tape_value_bitwise(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            d = int(rng.integers(1, 4))
+            model = DeepSetsModel(d, int(rng.integers(1, 4)), 8, 6, rng)
+            sets = [rng.normal(size=(rng.integers(1, 13), d))
+                    for _ in range(rng.integers(1, 33))]
+            tape = Tape()
+            out = model.fold_batch_on_tape(tape, tape.stage_params(model.store), sets)
+            assert model.fold_many(sets).tobytes() == tape.val(out).tobytes()
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         checked = 0

@@ -190,6 +190,25 @@ class TestForgedHeaders:
         assert MonotonicNet.param_count(n_layers, 3) == len(MonotonicNet(n_layers, 3).store)
 
 
+class TestAtomicSave:
+    def test_failed_save_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        old, new = (AbelianOp(MonotonicNet.initialized(2, 3, rng), "sum") for _ in range(2))
+        path = tmp_path / "m.abnn"
+        save_checkpoint(old, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(new, path)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).store.values.tobytes() == old.store.values.tobytes()
+        assert os.listdir(tmp_path) == ["m.abnn"]
+
+
 class TestErrors:
     def make_file(self, tmp_path):
         rng = np.random.default_rng(3)

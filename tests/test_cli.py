@@ -10,7 +10,7 @@ import pytest
 from abnn.abelian import AbelianOp
 from abnn.analogy import build_synthetic_analogy_corpus
 from abnn.checkpoint import save_checkpoint
-from abnn.cli import main
+from abnn.cli import build_parser, main
 from abnn.invertible import MonotonicNet
 
 
@@ -54,6 +54,11 @@ class TestSynthetic:
 
     def test_unknown_flag_rejected(self):
         assert run_cli("synthetic", "--task", "add", "--frolic") == 2
+
+    def test_threads_only_on_search(self):
+        assert run_cli("synthetic", "--task", "add", "--threads", "2") == 2
+        args = build_parser().parse_args(["search", "--task", "add", "--threads", "2"])
+        assert args.threads == 2
 
     def test_reproducible_outputs(self, tmp_path):
         outs = []
