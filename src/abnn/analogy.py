@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 KINDS = ("wv", "wv_mlp", "wv_agn")
+RETRIEVAL_CHUNK = 256  # queries per block of cosines in evaluate_analogy
 
 
 @dataclass
@@ -62,6 +63,10 @@ class EmbeddingTable:
         self.index = {tok: i for i, tok in enumerate(self.vocab)}
         if len(self.index) != len(self.vocab):
             raise ValueError("duplicate token in vocabulary")
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"non-finite embedding for token {self.vocab[int(np.argmin(finite))]!r}")
 
     @property
     def dim(self) -> int:
@@ -108,6 +113,8 @@ def load_embeddings(path, normalize: bool) -> EmbeddingTable:
                 vec = np.array([float(v) for v in fields[1:]])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"line {lineno}: non-finite value")
             if normalize:
                 norm = np.linalg.norm(vec)
                 if norm == 0.0:
@@ -233,7 +240,8 @@ def _check_dims(*vecs):
 
 
 def analogy_fn(kind: str, a, b, c, model=None) -> np.ndarray:
-    """Predict the vector of d for a:b = c:d. Batched over leading axes."""
+    """Predict the vector of d for a:b = c:d. Batched over leading axes,
+    which broadcast against each other."""
     if kind not in KINDS:
         raise ValueError(f"unknown analogy kind {kind!r}; expected one of {KINDS}")
     a, b, c = (np.asarray(v, dtype=np.float64) for v in (a, b, c))
@@ -245,7 +253,9 @@ def analogy_fn(kind: str, a, b, c, model=None) -> np.ndarray:
     if kind == "wv_mlp":
         return model.forward(b - a + c)
     phi = model.phi
-    return phi.inverse(phi.forward(b) - phi.forward(a) + phi.forward(c))
+    # one phi pass over b, a and c, so a single query pays its call overhead once
+    pb, pa, pc = phi.forward(np.stack(np.broadcast_arrays(b, a, c)))
+    return phi.inverse(pb - pa + pc)
 
 
 def build_analogy_model(kind: str, d: int, cfg: TrainConfig):
@@ -302,6 +312,19 @@ def train_analogy(kind: str, table: EmbeddingTable, train_examples,
     return model, fit(model, batch_loss, len(train_examples), cfg, stream=12)
 
 
+def _retrieval_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of near-equal blocks of at most ``RETRIEVAL_CHUNK``
+    of ``n`` queries.
+
+    No block is a single row unless ``n`` is 1: numpy computes a one-row
+    product by gemv, which rounds unlike gemm, so every block then rounds
+    as one product over all the queries would.
+    """
+    n_blocks = -(-n // RETRIEVAL_CHUNK)
+    edges = [n * k // n_blocks for k in range(n_blocks + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def evaluate_analogy(kind: str, model, table: EmbeddingTable, test,
                      exclude_abc: bool) -> dict:
     """Top-1 retrieval accuracy over the vocabulary, with per-example ranks.
@@ -309,45 +332,69 @@ def evaluate_analogy(kind: str, model, table: EmbeddingTable, test,
     An example counts as correct when the highest-cosine token (ties to
     the lowest vocabulary index) is among its acceptable answers. With
     ``exclude_abc`` the three query words leave the candidate pool first.
+    Every query word must be in the vocabulary. Answers need not be; an
+    example with no answer in it ranks one past every token in the pool.
+
+    The queries are scored in blocks of at most ``RETRIEVAL_CHUNK``, so a
+    call holds one ``RETRIEVAL_CHUNK x |V|`` float64 block of cosines and
+    one bool mask of that shape, whatever the number of queries.
     """
     if not test:
         raise ValueError("evaluation data is empty")
-    A = np.stack([table.lookup(e.a) for e in test])
-    B = np.stack([table.lookup(e.b) for e in test])
-    C = np.stack([table.lookup(e.c) for e in test])
+    index = table.index
+    try:
+        abc = np.array([[index[e.a], index[e.b], index[e.c]] for e in test], dtype=np.intp)
+    except KeyError:
+        i, word = next((i, w) for i, e in enumerate(test)
+                       for w in (e.a, e.b, e.c) if w not in index)
+        raise ValueError(
+            f"example {i}: query word {word!r} is not in the vocabulary") from None
+    # (example, vocabulary index) of every answer in the vocabulary, by example
+    cand_rows, cand_cols = np.array(
+        [(i, index[w]) for i, e in enumerate(test) for w in e.d_candidates if w in index],
+        dtype=np.intp).reshape(-1, 2).T
+
+    matrix = table.matrix
+    A, B, C = matrix[abc.T]
     preds = analogy_fn(kind, A, B, C, model=model)
     pred_norms = np.linalg.norm(preds, axis=1, keepdims=True)
-    vocab_norms = np.linalg.norm(table.matrix, axis=1)
-    sims = (preds / np.where(pred_norms == 0.0, 1.0, pred_norms)) @ table.matrix.T
-    sims /= np.where(vocab_norms == 0.0, 1.0, vocab_norms)
+    units = preds / np.where(pred_norms == 0.0, 1.0, pred_norms)
+    vocab_norms = np.linalg.norm(matrix, axis=1)
+    vocab_norms = np.where(vocab_norms == 0.0, 1.0, vocab_norms)
 
-    correct = 0
-    ranks = []
+    n = len(test)
+    top = np.empty(n, dtype=np.intp)
+    rank = np.empty(n, dtype=np.intp)
+    best = np.full(n, -np.inf)
+    blocks = _retrieval_blocks(n)
+    block = np.empty((max(hi - lo for lo, hi in blocks), len(matrix)))
+    for lo, hi in blocks:
+        sims = np.matmul(units[lo:hi], matrix.T, out=block[: hi - lo])
+        sims /= vocab_norms
+        if exclude_abc:
+            sims[np.arange(hi - lo)[:, None], abc[lo:hi]] = -np.inf
+        top[lo:hi] = sims.argmax(axis=1)
+        c_lo, c_hi = np.searchsorted(cand_rows, (lo, hi))
+        rows = cand_rows[c_lo:c_hi] - lo
+        np.maximum.at(best[lo:hi], rows, sims[rows, cand_cols[c_lo:c_hi]])
+        rank[lo:hi] = 1 + np.count_nonzero(sims > best[lo:hi, None], axis=1)
+    hit = np.zeros(n, dtype=bool)
+    hit[cand_rows[cand_cols == top[cand_rows]]] = True
+
+    hits, ranks = hit.tolist(), rank.tolist()
     details = []
     per_cat: dict[str, list[int]] = {}
-    for i, ex in enumerate(test):
-        row = sims[i]
-        if exclude_abc:
-            row = row.copy()
-            for tok in (ex.a, ex.b, ex.c):
-                row[table.index[tok]] = -np.inf
-        top = int(np.argmax(row))
-        cand_idx = [table.index[w] for w in ex.d_candidates if w in table.index]
-        hit = top in cand_idx
-        best_cand = max(row[j] for j in cand_idx) if cand_idx else -np.inf
-        rank = 1 + int(np.sum(row > best_cand))
-        correct += hit
-        ranks.append(rank)
-        per_cat.setdefault(ex.category, []).append(int(hit))
+    for ex, t, h, r in zip(test, top.tolist(), hits, ranks):
+        per_cat.setdefault(ex.category, []).append(int(h))
         details.append({"a": ex.a, "b": ex.b, "c": ex.c,
-                        "predicted": table.vocab[top], "hit": bool(hit),
-                        "rank": rank})
+                        "predicted": table.vocab[t], "hit": h, "rank": r})
+    correct = sum(hits)
     return {
         "kind": kind,
         "exclude_abc": exclude_abc,
-        "n": len(test),
-        "correct": int(correct),
-        "accuracy": correct / len(test),
+        "n": n,
+        "correct": correct,
+        "accuracy": correct / n,
         "per_category": {
             cat: {"n": len(v), "accuracy": float(np.mean(v))}
             for cat, v in sorted(per_cat.items())

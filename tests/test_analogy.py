@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from abnn import analogy
 from abnn.abelian import AbelianOp
 from abnn.analogy import (
+    RETRIEVAL_CHUNK,
     AnalogyExample,
     EmbeddingTable,
     MlpModel,
@@ -63,6 +65,19 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match="line 2.*columns"):
             load_embeddings(p, normalize=False)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_non_finite_value(self, tmp_path, value, normalize):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"3 2\na 1 0\nb 0 {value}\nc 0 1\n")
+        with pytest.raises(ValueError, match="line 3: non-finite value"):
+            load_embeddings(p, normalize=normalize)
+
+    def test_table_rejects_non_finite_rows(self):
+        with pytest.raises(ValueError, match="non-finite embedding for token 'b'"):
+            EmbeddingTable(["a", "b", "c"], [[1.0, 0.0], [np.inf, 0.0], [np.nan, 1.0]],
+                           False)
+
     def test_count_mismatch(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("5 2\na 1 0\n")
@@ -93,6 +108,33 @@ class TestAnalogyFn:
             a, c = rng.normal(size=(2, 6))
             got = analogy_fn("wv_agn", a, a, c, model=model)
             assert np.allclose(got, c, atol=1e-9)
+
+    def test_agn_is_three_phi_passes_bitwise(self):
+        # the criterion-7 test batch, with its hidden flow and an untrained model
+        table, rels, flow = build_synthetic_analogy_corpus(
+            25, 40, d=8, seed=7, flow_layers=2, hidden_dim=16, subnet_scale=1.5)
+        test = prepare_analogy_splits(table, rels, seed=7,
+                                      max_examples_per_category=100)["test"]
+        a, b, c = (np.stack([table.lookup(getattr(e, w)) for e in test])
+                   for w in ("a", "b", "c"))
+        cfg = TrainConfig(seed=7, model="agn", n_layers=3, hidden_dim=16)
+        for model in (AbelianOp(flow, "sum"), build_analogy_model("wv_agn", 8, cfg)):
+            phi = model.phi
+            for rows in (slice(None), slice(0, 1), slice(5, 6)):
+                got = analogy_fn("wv_agn", a[rows], b[rows], c[rows], model=model)
+                want = phi.inverse(phi.forward(b[rows]) - phi.forward(a[rows])
+                                   + phi.forward(c[rows]))
+                assert got.tobytes() == want.tobytes()
+
+    def test_single_a_broadcasts_against_batched_b_and_c(self):
+        rng = np.random.default_rng(3)
+        model = AbelianOp(CouplingFlow(4, 3, 8, rng, init="random"), "sum")
+        a = rng.normal(size=4)
+        b, c = rng.normal(size=(2, 5, 4))
+        got = analogy_fn("wv_agn", a, b, c, model=model)
+        assert got.shape == (5, 4)
+        assert np.array_equal(got, analogy_fn("wv_agn", np.tile(a, (5, 1)), b, c,
+                                              model=model))
 
     def test_model_required(self):
         with pytest.raises(ValueError, match="requires a trained model"):
@@ -146,6 +188,143 @@ class TestEvaluateAnalogy:
         r1 = evaluate_analogy("wv", None, table, examples, exclude_abc=False)
         r2 = evaluate_analogy("wv", None, table, examples, exclude_abc=False)
         assert r1["ranks"] == r2["ranks"]
+
+
+def reference_evaluate_analogy(kind, model, table, test, exclude_abc):
+    """The per-example loop evaluate_analogy replaced, kept as the reference."""
+    if not test:
+        raise ValueError("evaluation data is empty")
+    A = np.stack([table.lookup(e.a) for e in test])
+    B = np.stack([table.lookup(e.b) for e in test])
+    C = np.stack([table.lookup(e.c) for e in test])
+    preds = analogy_fn(kind, A, B, C, model=model)
+    pred_norms = np.linalg.norm(preds, axis=1, keepdims=True)
+    vocab_norms = np.linalg.norm(table.matrix, axis=1)
+    sims = (preds / np.where(pred_norms == 0.0, 1.0, pred_norms)) @ table.matrix.T
+    sims /= np.where(vocab_norms == 0.0, 1.0, vocab_norms)
+
+    correct = 0
+    ranks = []
+    details = []
+    per_cat: dict[str, list[int]] = {}
+    for i, ex in enumerate(test):
+        row = sims[i]
+        if exclude_abc:
+            row = row.copy()
+            for tok in (ex.a, ex.b, ex.c):
+                row[table.index[tok]] = -np.inf
+        top = int(np.argmax(row))
+        cand_idx = [table.index[w] for w in ex.d_candidates if w in table.index]
+        hit = top in cand_idx
+        best_cand = max(row[j] for j in cand_idx) if cand_idx else -np.inf
+        rank = 1 + int(np.sum(row > best_cand))
+        correct += hit
+        ranks.append(rank)
+        per_cat.setdefault(ex.category, []).append(int(hit))
+        details.append({"a": ex.a, "b": ex.b, "c": ex.c,
+                        "predicted": table.vocab[top], "hit": bool(hit),
+                        "rank": rank})
+    return {
+        "kind": kind,
+        "exclude_abc": exclude_abc,
+        "n": len(test),
+        "correct": int(correct),
+        "accuracy": correct / len(test),
+        "per_category": {
+            cat: {"n": len(v), "accuracy": float(np.mean(v))}
+            for cat, v in sorted(per_cat.items())
+        },
+        "ranks": ranks,
+        "examples": details,
+    }
+
+
+def retrieval_case(kind):
+    """A table with two equal rows and a zero row, RETRIEVAL_CHUNK + 1
+    examples that start with the hard cases, and a model for ``kind``."""
+    rng = np.random.default_rng(21)
+    tokens = [f"t{i}" for i in range(40)] + ["dup0", "dup1", "zero"]
+    matrix = rng.normal(size=(41, 4))
+    matrix = np.vstack([matrix, matrix[-1:], np.zeros((1, 4))])
+    table = EmbeddingTable(tokens, matrix, False)
+    examples = [
+        AnalogyExample("t1", "t1", "zero", ["t2"], "zero"),  # zero prediction
+        AnalogyExample("t3", "t3", "dup1", ["dup1"], "tie"),  # ties dup0 exactly
+        AnalogyExample("t4", "t9", "t5", ["t5", "t6", "t7", "dup0"], "multi"),
+        AnalogyExample("t8", "t9", "t10", ["nope"], "missing"),
+        AnalogyExample("t8", "t11", "t12", ["nope", "t13", "t13"], "missing"),
+        AnalogyExample("t9", "t9", "t10", ["t10"], "excluded"),  # c is the answer
+    ]
+    while len(examples) < RETRIEVAL_CHUNK + 1:
+        a, b, c, *d = rng.choice(tokens, size=3 + rng.integers(1, 4))
+        if rng.random() < 0.1:
+            d.append("oov")
+        examples.append(AnalogyExample(a, b, c, d, f"cat{len(examples) % 5}"))
+    model = None
+    if kind == "wv_mlp":
+        model = MlpModel(4, 2, 8, rng)
+    elif kind == "wv_agn":
+        model = AbelianOp(CouplingFlow(4, 3, 8, rng, init="random"), "sum")
+    return table, examples, model
+
+
+class TestBlockedRetrieval:
+    @pytest.mark.parametrize("kind", ["wv", "wv_mlp", "wv_agn"])
+    @pytest.mark.parametrize("n", [1, RETRIEVAL_CHUNK, RETRIEVAL_CHUNK + 1])
+    @pytest.mark.parametrize("exclude_abc", [False, True])
+    def test_equals_the_per_example_loop(self, kind, n, exclude_abc):
+        table, examples, model = retrieval_case(kind)
+        for test in (examples[:n], examples[-n:]):
+            got = evaluate_analogy(kind, model, table, test, exclude_abc)
+            assert got == reference_evaluate_analogy(kind, model, table, test, exclude_abc)
+
+    def test_fixture_covers_its_cases(self):
+        table, examples, _ = retrieval_case("wv")
+        keep = evaluate_analogy("wv", None, table, examples[:6], exclude_abc=False)
+        drop = evaluate_analogy("wv", None, table, examples[:6], exclude_abc=True)
+        assert keep["examples"][0]["predicted"] == "t0"  # every cosine is 0
+        assert keep["examples"][1]["predicted"] == "dup0"  # tie to the lower index
+        assert keep["ranks"][1] == 1 and not keep["examples"][1]["hit"]
+        assert keep["ranks"][3] == len(table) + 1
+        assert keep["examples"][5]["hit"] and not drop["examples"][5]["hit"]
+
+    @pytest.mark.parametrize("kind", ["wv", "wv_agn"])
+    def test_a_query_scores_the_same_alone(self, kind):
+        table, examples, model = retrieval_case(kind)
+        together = evaluate_analogy(kind, model, table, examples, exclude_abc=True)
+        for i, ex in enumerate(examples):
+            alone = evaluate_analogy(kind, model, table, [ex], exclude_abc=True)
+            assert alone["examples"] == [together["examples"][i]], i
+
+    @pytest.mark.parametrize("n", [1, 2, RETRIEVAL_CHUNK, RETRIEVAL_CHUNK + 1,
+                                   4 * RETRIEVAL_CHUNK + 1])
+    def test_blocks_tile_the_queries_and_none_is_one_row(self, n):
+        blocks = analogy._retrieval_blocks(n)
+        assert [lo for lo, _ in blocks] + [n] == [0] + [hi for _, hi in blocks]
+        sizes = [hi - lo for lo, hi in blocks]
+        assert max(sizes) <= RETRIEVAL_CHUNK
+        assert n == 1 or min(sizes) > 1
+
+    def test_query_word_outside_the_vocabulary(self):
+        table, examples, _ = retrieval_case("wv")
+        bad = examples[:3] + [AnalogyExample("t1", "t2", "zzz", ["t3"])]
+        with pytest.raises(ValueError, match="example 3: query word 'zzz'"):
+            evaluate_analogy("wv", None, table, bad, exclude_abc=False)
+
+    def test_memory_is_one_block_of_cosines(self):
+        rng = np.random.default_rng(22)
+        n_vocab = 4096
+        table = toy_table(rng, [f"t{i}" for i in range(n_vocab)])
+        test = [AnalogyExample(*(f"t{j}" for j in row[:3]), [f"t{row[3]}"])
+                for row in rng.integers(n_vocab, size=(4 * RETRIEVAL_CHUNK, 4))]
+        tracemalloc.start()
+        try:
+            evaluate_analogy("wv", None, table, test, exclude_abc=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole (n, |V|) matrix would be 4 * RETRIEVAL_CHUNK * n_vocab * 8
+        assert peak < 3 * RETRIEVAL_CHUNK * n_vocab * 8
 
 
 class TestRelationFiles:

@@ -252,6 +252,20 @@ class TestAnalogy:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("analogy-eval", "--kind", "wv"),
+        ("analogy-train", "--kind", "agn", "--epochs", "1", "--normalize"),
+    ])
+    def test_non_finite_embedding_exits_1(self, analogy_files, tmp_path, capsys, argv):
+        _, rels = analogy_files
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 2\na 1 0\nb nan 1\n")
+        code = run_cli(*argv, "--embeddings", str(bad), "--relations", str(rels),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "error: line 3: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_seed_exits_2(self, analogy_files, tmp_path, capsys):
         emb, rels = analogy_files
         cfg_file = tmp_path / "c.json"
